@@ -30,6 +30,7 @@ class SimplicialComplex:
         self._facets = _maximal_faces(facets)
         self._simplices = None
         self._simplex_set = None
+        self._reduction = None
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -264,39 +265,68 @@ class BettiVector:
         return "BettiVector({" + inner + "})"
 
 
-def boundary_rows(komplex: SimplicialComplex, k: int):
-    """Degree-k boundary matrix as sparse rows indexed by (k-1)-simplices.
+def boundary_columns(komplex: SimplicialComplex, k: int):
+    """Degree-k boundary matrix as sparse columns, one per k-simplex.
 
-    Degree 0 is the augmentation onto the empty simplex, so reduced homology
-    comes out of the same machinery as every other degree.
+    Rows index the (k-1)-simplices in sorted order.  Degree 0 is the
+    augmentation onto the empty simplex, so reduced homology comes out of
+    the same machinery as every other degree.
     """
     by_dim = komplex.simplices_by_dim()
-    cols = by_dim.get(k, [])
-    faces = by_dim.get(k - 1, [])
-    row_index = {s: i for i, s in enumerate(faces)}
-    rows = [dict() for _ in faces]
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            rows[row_index[face]][j] = 1 if i % 2 == 0 else -1
-    return rows, len(cols)
+    row_index = {s: i for i, s in enumerate(by_dim.get(k - 1, []))}
+    return [
+        {row_index[s[:i] + s[i + 1 :]]: 1 if i % 2 == 0 else -1 for i in range(len(s))}
+        for s in by_dim.get(k, [])
+    ]
+
+
+def boundary_rows(komplex: SimplicialComplex, k: int):
+    """The degree-k boundary matrix as sparse rows, with its column count."""
+    columns = boundary_columns(komplex, k)
+    rows = [dict() for _ in komplex.simplices_by_dim().get(k - 1, [])]
+    for j, column in enumerate(columns):
+        for i, value in column.items():
+            rows[i][j] = value
+    return rows, len(columns)
+
+
+def _reduction(komplex: SimplicialComplex) -> dict:
+    """Degree -> (pivots, cycles) of the complex, computed once per object.
+
+    The boundary matrices are reduced from the top degree down with
+    clearing (Chen-Kerber, "Persistent homology computation with a twist",
+    2011): a k-simplex that is the pivot of a reduced (k+1)-column has a
+    column that reduces to zero, so it is skipped.  The k-columns that
+    reduce to zero and are not cleared index the homology basis, and
+    ``cycles`` maps each to its tracked column, a representative cycle with
+    entry 1 at that index.  Following the sorted simplex order makes the
+    basis canonical: equal complexes get equal representatives.
+
+    ``pivots`` holds the reduced (k+1)-columns and the representatives by
+    pivot, the latter tracked as themselves, so reducing a k-cycle against
+    it leaves minus its coordinates in the homology basis.
+    """
+    if komplex._reduction is None:
+        data = {}
+        above = {}
+        for k in range(komplex.dim, -2, -1):
+            pairs = ((column, {j: 1}) for j, column in enumerate(boundary_columns(komplex, k)))
+            pivots, cycles = linalg.reduce_columns(pairs, cleared=above)
+            table = {row: (column, {}) for row, (column, _) in above.items()}
+            table.update((j, (z, {j: 1})) for j, z in cycles.items())
+            data[k] = (table, cycles)
+            above = pivots
+        komplex._reduction = data
+    return komplex._reduction
+
+
+def _betti(reduction: dict) -> BettiVector:
+    return BettiVector({k: len(cycles) for k, (_, cycles) in reduction.items()})
 
 
 def reduced_betti(komplex: SimplicialComplex) -> BettiVector:
     """Exact reduced Betti numbers over the rationals."""
-    by_dim = komplex.simplices_by_dim()
-    top = komplex.dim
-    ranks = {}
-    for k in range(0, top + 1):
-        rows, _ = boundary_rows(komplex, k)
-        ranks[k] = linalg.sparse_rank(rows)
-    counts = {}
-    for k in range(-1, top + 1):
-        n_k = len(by_dim.get(k, ()))
-        b = n_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if b:
-            counts[k] = b
-    return BettiVector(counts)
+    return _betti(_reduction(komplex))
 
 
 class SimplicialMap:
@@ -357,76 +387,49 @@ def _permutation_sign(order) -> int:
     return sign
 
 
-def _homology_data(komplex: SimplicialComplex):
-    """Per degree: boundary-image basis and homology representative cycles.
-
-    Representatives are canonical: elimination follows the sorted simplex
-    order, so two computations on equal complexes give identical bases.
-    """
-    by_dim = komplex.simplices_by_dim()
-    data = {}
-    for k in range(-1, komplex.dim + 1):
-        n_k = len(by_dim.get(k, ()))
-        rows_k, _ = boundary_rows(komplex, k)
-        dense_k = [[Fraction(r.get(j, 0)) for j in range(n_k)] for r in rows_k]
-        cycles = linalg.nullspace(dense_k, n_k)
-        rows_k1, n_k1 = boundary_rows(komplex, k + 1)
-        bcols = [[Fraction(0)] * n_k for _ in range(n_k1)]
-        for i, row in enumerate(rows_k1):
-            for j, v in row.items():
-                bcols[j][i] = Fraction(v)
-        chosen = linalg.independent_columns(bcols + cycles)
-        b_basis = [bcols[i] for i in chosen if i < len(bcols)]
-        h_reps = [cycles[i - len(bcols)] for i in chosen if i >= len(bcols)]
-        data[k] = (b_basis, h_reps)
-    return data
+def _rank(matrix) -> int:
+    ncols = len(matrix[0]) if matrix else 0
+    pairs = (({r: row[c] for r, row in enumerate(matrix) if row[c]}, {}) for c in range(ncols))
+    return len(linalg.reduce_columns(pairs)[0])
 
 
 class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
     Bases are canonical per complex, so matrices of different maps between
-    the same complexes can be compared and multiplied entrywise.
+    the same complexes can be compared and multiplied entrywise.  Column j
+    of a matrix holds the coordinates of the image of the j-th source
+    representative, found by reducing it against the target's pivots.
     """
 
     def __init__(self, f: SimplicialMap):
         self.map = f
-        src_data = _homology_data(f.source)
-        tgt_data = _homology_data(f.target)
+        src, tgt = _reduction(f.source), _reduction(f.target)
+        self.source_betti = _betti(src)
+        self.target_betti = _betti(tgt)
         src_by_dim = f.source.simplices_by_dim()
         tgt_by_dim = f.target.simplices_by_dim()
-        top = max(f.source.dim, f.target.dim)
         self.matrices = {}
-        self.source_betti = BettiVector(
-            {k: len(src_data[k][1]) for k in src_data if src_data[k][1]}
-        )
-        self.target_betti = BettiVector(
-            {k: len(tgt_data[k][1]) for k in tgt_data if tgt_data[k][1]}
-        )
-        for k in range(-1, top + 1):
-            _, src_reps = src_data.get(k, ([], []))
-            tgt_b, tgt_reps = tgt_data.get(k, ([], []))
-            n_rows = len(tgt_reps)
-            n_cols = len(src_reps)
-            tgt_simps = tgt_by_dim.get(k, [()] if k == -1 else [])
-            tgt_index = {s: i for i, s in enumerate(tgt_simps)}
+        for k in range(-1, max(f.source.dim, f.target.dim) + 1):
+            src_reps = src.get(k, ({}, {}))[1]
+            pivots, tgt_reps = tgt.get(k, ({}, {}))
+            simplices = src_by_dim.get(k, [])
+            tgt_index = {s: i for i, s in enumerate(tgt_by_dim.get(k, []))}
             cols = []
-            for z in src_reps:
-                w = [Fraction(0)] * len(tgt_simps)
-                for j, s in enumerate(src_by_dim.get(k, [()] if k == -1 else [])):
-                    if not z[j]:
-                        continue
-                    imgs = [f.vertex_map[v] for v in s] if k >= 0 else []
+            for j in sorted(src_reps):
+                image = {}
+                for index, c in src_reps[j].items():
+                    imgs = [f.vertex_map[v] for v in simplices[index]]
                     if len(set(imgs)) < len(imgs):
                         continue
                     order = sorted(range(len(imgs)), key=lambda i: label_key(imgs[i]))
-                    t = tuple(imgs[i] for i in order)
-                    w[tgt_index[t]] += z[j] * _permutation_sign(order)
-                coeffs = linalg.solve_columns(tgt_b + tgt_reps, w)
-                assert coeffs is not None, "image of a cycle is not a cycle"
-                cols.append(coeffs[len(tgt_b) :])
-            matrix = [[cols[c][r] for c in range(n_cols)] for r in range(n_rows)]
-            self.matrices[k] = matrix
+                    t = tgt_index[tuple(imgs[i] for i in order)]
+                    image[t] = image.get(t, 0) + c * _permutation_sign(order)
+                image = {t: v for t, v in image.items() if v}
+                _, cycles = linalg.reduce_columns([(image, {})], pivots)
+                assert 0 in cycles, "image of a cycle is not a cycle"
+                cols.append(cycles[0])
+            self.matrices[k] = [[Fraction(-col.get(r, 0)) for col in cols] for r in sorted(tgt_reps)]
 
     def degrees(self):
         return sorted(k for k in self.matrices)
@@ -435,24 +438,13 @@ class HomologyMap:
         return self.matrices.get(k, [])
 
     def is_surjective(self) -> bool:
-        for k, m in self.matrices.items():
-            if len(m) and linalg.dense_rank(m) < len(m):
-                return False
-        return True
+        return all(_rank(m) == len(m) for m in self.matrices.values())
 
     def is_injective(self) -> bool:
-        for k, m in self.matrices.items():
-            ncols = len(m[0]) if m else 0
-            if ncols and linalg.dense_rank(m) < ncols:
-                return False
-        return True
+        return all(_rank(m) == self.source_betti[k] for k, m in self.matrices.items())
 
     def is_isomorphism(self) -> bool:
-        for k, m in self.matrices.items():
-            ncols = len(m[0]) if m else 0
-            if len(m) != ncols:
-                return False
-        return self.is_surjective() and self.is_injective()
+        return self.source_betti == self.target_betti and self.is_injective()
 
 
 def homology_map(f: SimplicialMap) -> HomologyMap:
@@ -463,15 +455,12 @@ def compose_matrices(outer: HomologyMap, inner: HomologyMap) -> dict:
     """Degreewise product H(outer) * H(inner) of composable homology maps."""
     out = {}
     for k in set(outer.matrices) | set(inner.matrices):
-        rows = outer.target_betti[k]
-        cols = inner.source_betti[k]
         a = outer.matrices.get(k, [])
         b = inner.matrices.get(k, [])
-        if rows == 0:
-            out[k] = []
-        elif a and b and a[0]:
-            out[k] = linalg.matmul(a, b)
-        else:
-            # the middle homology group vanishes: the composite is zero
-            out[k] = [[Fraction(0)] * cols for _ in range(rows)]
+        cols = inner.source_betti[k]
+        # an empty middle homology group gives zero sums: the composite is zero
+        out[k] = [
+            [sum((row[j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(cols)]
+            for row in a
+        ]
     return out

@@ -1,202 +1,62 @@
-"""Exact linear algebra over the rationals.
+"""Exact column reduction over the rationals.
 
-Every Betti number and homology matrix in the package is computed through
-these routines, so they stay exact: sparse Gaussian elimination with
-``Fraction`` arithmetic (preferring unit pivots, which keeps boundary-matrix
-eliminations integral in practice) plus small dense helpers for bases and
-linear solves.
+Every Betti number and homology matrix in the package comes out of one
+routine: the standard column reduction of persistent homology
+(Zomorodian-Carlsson, "Computing persistent homology", 2005) on sparse
+``{row: value}`` columns.  A column's pivot is its largest row.  The
+routine subtracts earlier columns until a column's pivot is new or the
+column is zero, and applies the same steps to a tracked column, so a column
+that reduces to zero yields the combination of inputs that cancels: a cycle.
 
-``rank_mod_p`` is an optional fast path over a prime field; it is only
-trusted because the test suite cross-checks it against ``sparse_rank`` on
-the same matrices.
+Values are ints or ``Fraction``s and every operation is exact.  Stored
+pivot columns are scaled to a pivot entry of 1, so elimination needs no
+division and stays in ints wherever the pivots are +-1, as they are on
+boundary matrices in practice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 
-DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1, keeps int64 products overflow-free
+def reduce_columns(columns, pivots=None, cleared=()):
+    """Reduce ``(column, tracked)`` pairs left to right against ``pivots``.
 
+    Both parts are sparse ``{row: value}`` dicts and are reduced in place.
+    ``pivots`` maps a pivot row to a ``(column, tracked)`` pair whose
+    column has entry 1 at that row; it starts empty unless given, and gains
+    every column that stays nonzero.  The pair at an index in ``cleared``
+    is skipped: the caller knows that its column reduces to zero.
 
-def sparse_rank(rows) -> int:
-    """Exact rank of a sparse matrix given as ``{column: value}`` dicts."""
-    work = []
-    for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        if r:
-            work.append(r)
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(work):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    active = set(range(len(work)))
-    rank = 0
-    while active:
-        i = min(active, key=lambda j: (len(work[j]), j))
-        row = work[i]
-        # prefer a +-1 pivot in a sparse column: minimizes fill-in
-        c = min(row, key=lambda cc: (abs(row[cc]) != 1, len(col_rows[cc]), cc))
-        piv = row[c]
-        rank += 1
-        active.discard(i)
-        targets = [j for j in col_rows[c] if j != i and j in active]
-        for j in targets:
-            other = work[j]
-            factor = other[c] / piv
-            for cc, v in row.items():
-                nv = other.get(cc, 0) - factor * v
-                if nv:
-                    if cc not in other:
-                        col_rows.setdefault(cc, set()).add(j)
-                    other[cc] = nv
-                elif cc in other:
-                    del other[cc]
-                    col_rows[cc].discard(j)
-            if not other:
-                active.discard(j)
-        for cc in row:
-            col_rows[cc].discard(i)
-    return rank
-
-
-def rank_mod_p(rows, ncols: int, p: int = DEFAULT_PRIME) -> int:
-    """Rank over GF(p).  Fast path; must agree with sparse_rank (tested)."""
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    m = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            m[i, c] = int(v) % p
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i, c] % p:
-                piv = i
+    Returns ``(pivots, cycles)``, where ``cycles[j]`` is the tracked part
+    of each pair ``j`` whose column reduced to zero.
+    """
+    pivots = {} if pivots is None else pivots
+    cycles = {}
+    for j, (column, tracked) in enumerate(columns):
+        if j in cleared:
+            continue
+        while column:
+            low = max(column)
+            hit = pivots.get(low)
+            if hit is None:
                 break
-        if piv is None:
+            factor = column[low]
+            for other, entries in zip((column, tracked), hit):
+                for row, value in entries.items():
+                    new = other.get(row, 0) - factor * value
+                    if new:
+                        other[row] = new
+                    else:
+                        del other[row]
+        if not column:
+            cycles[j] = tracked
             continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1 :, c].copy()
-        if below.any():
-            m[r + 1 :] = (m[r + 1 :] - np.outer(below, m[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(matrix):
-    """Reduced row echelon form of a dense Fraction matrix.
-
-    Returns ``(rows, pivot_columns)``; the input is not modified.
-    """
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    pivots = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def dense_rank(matrix) -> int:
-    return len(rref(matrix)[1])
-
-
-def nullspace(matrix, ncols: int):
-    """Basis of the right nullspace as Fraction vectors of length ncols."""
-    if ncols == 0:
-        return []
-    if not matrix:
-        basis = []
-        for c in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            basis.append(v)
-        return basis
-    rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -rows[r_i][fc]
-        basis.append(v)
-    return basis
-
-
-def independent_columns(columns):
-    """Indices of a maximal independent subset, greedy in the given order."""
-    pool = []  # reduced vectors with their leading index
-    chosen = []
-    for idx, col in enumerate(columns):
-        v = list(col)
-        for w, lead in pool:
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, w)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is not None:
-            pv = v[lead]
-            v = [a / pv for a in v]
-            pool.append((v, lead))
-            chosen.append(idx)
-    return chosen
-
-
-def solve_columns(columns, target):
-    """Coefficients writing target in the span of columns, or None.
-
-    When several solutions exist the free coefficients are set to zero.
-    """
-    n = len(target)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    rows, pivots = rref(aug)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r_i, pc in enumerate(pivots):
-        coeffs[pc] = rows[r_i][k]
-    return coeffs
-
-
-def matmul(a, b):
-    """Product of two dense Fraction matrices (lists of rows)."""
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[Fraction(0)] * cols for _ in range(rows)]
-    assert len(a[0]) == len(b), "shape mismatch"
-    cols = len(b[0])
-    out = []
-    for row in a:
-        out.append(
-            [sum((row[j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(cols)]
-        )
-    return out
+        entry = column[low]
+        if entry != 1:
+            scale = -1 if entry == -1 else 1 / Fraction(entry)
+            for other in (column, tracked):
+                for row in other:
+                    other[row] *= scale
+        pivots[low] = (column, tracked)
+    return pivots, cycles

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from matrep.complexes import (
     NotSimplicial,
     SimplicialComplex,
     SimplicialMap,
+    boundary_columns,
     boundary_rows,
     compose_matrices,
     disjoint_union,
@@ -21,9 +26,10 @@ from matrep.complexes import (
     sphere,
     suspension_iter,
 )
+import matrep
 from matrep import linalg
 
-from oracles import betti_by_gf_rank
+from oracles import betti_by_gf_rank, gf_rank
 
 
 def bv(counts):
@@ -108,6 +114,7 @@ def test_betti_against_gf_oracle():
 
 
 def test_prime_field_fast_path_matches_rationals():
+    """The kernel's rank over Q against the oracle's rank over GF(997)."""
     complexes = [
         sphere(2),
         iterated_join(sphere(0), 3),
@@ -117,7 +124,17 @@ def test_prime_field_fast_path_matches_rationals():
     for komplex in complexes:
         for k in range(0, komplex.dim + 1):
             rows, ncols = boundary_rows(komplex, k)
-            assert linalg.rank_mod_p(rows, ncols) == linalg.sparse_rank(rows)
+            pivots, _ = linalg.reduce_columns((c, {}) for c in boundary_columns(komplex, k))
+            assert len(pivots) == gf_rank(rows, ncols)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(matrep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, matrep; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_euler_characteristic_matches_betti():
@@ -157,22 +174,49 @@ def test_join_associative_up_to_relabeling():
         assert left == right
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    facets=st.lists(
-        st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
-        min_size=0,
-        max_size=6,
-    )
+# random complexes on at most six vertices
+FACET_LISTS = st.lists(
+    st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+    min_size=0,
+    max_size=6,
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(facets=FACET_LISTS)
 def test_random_complex_euler_identity(facets):
     komplex = SimplicialComplex(facets)
     betti = reduced_betti(komplex)
+    assert dict(betti.items()) == betti_by_gf_rank(komplex)
     alt = sum((-1) ** k * betti[k] for k in range(0, max(komplex.dim, 0) + 1))
     if komplex.is_empty:
         assert betti == bv({-1: 1})
     else:
         assert alt + 1 == komplex.euler_characteristic()
+
+
+@settings(max_examples=40, deadline=None)
+@given(facets=FACET_LISTS, kept=st.sets(st.integers(min_value=0, max_value=5)))
+def test_random_homology_maps_are_functorial(facets, kept):
+    komplex = SimplicialComplex(facets)
+    h_id = homology_map(SimplicialMap.identity(komplex))
+    assert h_id.source_betti == reduced_betti(komplex)
+    for k, matrix in h_id.matrices.items():
+        b = h_id.source_betti[k]
+        assert matrix == [[int(r == c) for c in range(b)] for r in range(b)]
+    assert h_id.is_isomorphism()
+
+    sub = komplex.full_subcomplex(kept)
+    incl = SimplicialMap(sub, komplex, {v: v for v in sub.vertices})
+    composed = homology_map(incl.then(SimplicialMap.identity(komplex)))
+    assert composed.matrices == compose_matrices(h_id, homology_map(incl))
+
+    # a point has no reduced homology: a constant map is onto, and one-to-one
+    # only from an acyclic complex
+    point = SimplicialComplex.point("c")
+    constant = homology_map(SimplicialMap(komplex, point, {v: "c" for v in komplex.vertices}))
+    assert constant.is_surjective()
+    assert constant.is_injective() == (reduced_betti(komplex) == bv({}))
 
 
 def test_betti_vector_arithmetic():
