@@ -59,9 +59,10 @@ class SimplicialComplex:
     def simplices_by_dim(self) -> dict:
         """Sorted simplices per dimension; dimension -1 holds the empty simplex."""
         if self._simplices is None:
+            key = {v: label_key(v) for v in self.vertices}
             seen = set()
             for f in self._facets:
-                verts = sort_labels(f)
+                verts = sorted(f, key=key.__getitem__)
                 for k in range(len(f) + 1):
                     seen.update(itertools.combinations(verts, k))
             by_dim: dict[int, list] = {-1: [()]}
@@ -69,7 +70,7 @@ class SimplicialComplex:
                 if s:
                     by_dim.setdefault(len(s) - 1, []).append(s)
             for k in by_dim:
-                by_dim[k].sort(key=lambda s: tuple(label_key(v) for v in s))
+                by_dim[k].sort(key=lambda s: tuple(key[v] for v in s))
             self._simplices = by_dim
         return self._simplices
 
@@ -172,6 +173,20 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(fa | fb for fa in a2.facets for fb in b2.facets)
 
 
+def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
+    """Join of disjoint copies of x, one per index, vertices (index, v).
+
+    No indices yields the empty complex, the join unit.
+    """
+    idx = sorted(indices)
+    if not idx or x.is_empty:
+        return SimplicialComplex.empty()
+    facets = []
+    for choice in itertools.product(sorted(x.facets, key=label_key), repeat=len(idx)):
+        facets.append(frozenset((i, v) for i, f in zip(idx, choice) for v in f))
+    return SimplicialComplex(facets)
+
+
 def iterated_join(x: SimplicialComplex, d: int) -> SimplicialComplex:
     """d-fold join of copies of x, vertices labeled (copy_index, vertex).
 
@@ -179,12 +194,7 @@ def iterated_join(x: SimplicialComplex, d: int) -> SimplicialComplex:
     """
     if d < 0:
         raise ValueError("join power must be >= 0")
-    if d == 0 or x.is_empty:
-        return SimplicialComplex.empty()
-    facets = []
-    for choice in itertools.product(sorted(x.facets, key=label_key), repeat=d):
-        facets.append(frozenset((i, v) for i, f in enumerate(choice) for v in f))
-    return SimplicialComplex(facets)
+    return copies_complex(x, range(d))
 
 
 def suspension_iter(a: SimplicialComplex, k: int) -> SimplicialComplex:

@@ -55,6 +55,7 @@ class FinitePoset:
                 if y != x and x in up[y]:
                     raise DiagramError(f"antisymmetry fails at {x!r}, {y!r}")
         self._up = {x: frozenset(s) for x, s in up.items()}
+        self._covers = None
 
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
@@ -84,15 +85,19 @@ class FinitePoset:
     def maximal_elements(self):
         return tuple(x for x in self.elements if all(not self.lt(x, y) for y in self.elements))
 
-    def covers(self):
-        """Pairs (lower, upper) with nothing strictly between."""
-        out = []
-        for x in self.elements:
-            uppers = self._up[x] - {x}
-            for y in uppers:
-                if not any(z != y and self.leq(z, y) for z in uppers):
-                    out.append((x, y))
-        return out
+    def covers(self) -> tuple:
+        """Pairs (lower, upper) with nothing strictly between, computed once
+        per poset object."""
+        if self._covers is None:
+            out = []
+            for x in self.elements:
+                above = self._up[x] - {x}
+                higher = set()  # strictly above some element of ``above``
+                for y in above:
+                    higher |= self._up[y] - {y}
+                out.extend((x, y) for y in above - higher)
+            self._covers = tuple(out)
+        return self._covers
 
     def restrict(self, subset) -> "FinitePoset":
         keep = set(subset)
@@ -117,36 +122,32 @@ class FinitePoset:
 
 
 def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """The complex of chains of the poset."""
-    above = {
-        x: [y for y in poset.elements if poset.lt(x, y)] for x in poset.elements
-    }
-    below_first = {
-        x: [y for y in poset.elements if poset.lt(y, x)] for x in poset.elements
-    }
+    """The complex of chains of the poset.
+
+    Its facets are the maximal chains, and a chain is maximal exactly when
+    it climbs by cover relations from a minimal element to a maximal one
+    (Bjorner, "Topological methods", 1995), so the facets are enumerated as
+    cover paths and no chain is tested for maximality.
+    """
+    upper = {x: [] for x in poset.elements}
+    minimal = set(poset.elements)
+    for a, b in poset.covers():
+        upper[a].append(b)
+        minimal.discard(b)
     facets = []
-    elements = poset.elements
 
     def extend(chain):
         last = chain[-1]
-        if above[last]:
-            for y in above[last]:
-                chain.append(y)
-                extend(chain)
-                chain.pop()
+        if not upper[last]:
+            facets.append(frozenset(chain))
             return
-        # a leaf chain: maximal unless some element slots in below or between
-        cs = set(chain)
-        for z in elements:
-            if z in cs:
-                continue
-            if all(poset.leq(z, x) or poset.leq(x, z) for x in chain):
-                return
-        facets.append(frozenset(chain))
+        for y in upper[last]:
+            chain.append(y)
+            extend(chain)
+            chain.pop()
 
-    for x in elements:
-        if not below_first[x]:
-            extend([x])
+    for x in minimal:
+        extend([x])
     return SimplicialComplex(facets)
 
 

@@ -11,6 +11,7 @@ induce simplicial maps between representations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .complexes import (
     NotSimplicial,
     SimplicialComplex,
     SimplicialMap,
+    copies_complex,
     iterated_join,
     reduced_betti,
     suspension_iter,
@@ -132,17 +134,6 @@ def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
     return all(l(p) <= lp[flat_map(p)] for p in l.matroid.lattice().flats)
 
 
-def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
-    """Join of disjoint copies of x, one per index, vertices (index, v)."""
-    idx = sorted(indices)
-    if not idx or x.is_empty:
-        return SimplicialComplex.empty()
-    facets = []
-    for choice in itertools.product(sorted(x.facets, key=label_key), repeat=len(idx)):
-        facets.append(frozenset((i, v) for i, f in zip(idx, choice) for v in f))
-    return SimplicialComplex(facets)
-
-
 def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
     """The lattice-of-flats diagram whose space at p joins the copies of x
     selected by the immersion value at p."""
@@ -156,40 +147,53 @@ def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram
 
 @dataclass
 class Representation:
+    """T with its atom subcomplexes, built over the lattice minus its bottom.
+
+    ``provenance`` maps each vertex of T, a Grothendieck element (flat,
+    simplex), to its flat.  Y, the hocolim over the whole lattice, is built
+    only when it is first read.
+    """
+
     immersed: ImmersedMatroid
     template: SimplicialComplex
-    Y: SimplicialComplex
     T: SimplicialComplex
     atom_subcomplexes: dict  # atom flat -> SimplicialComplex
-    provenance: dict  # hocolim vertex -> lattice flat
+    provenance: dict  # vertex of T -> lattice flat
 
     @property
     def lattice(self):
         return self.immersed.matroid.lattice()
 
+    @functools.cached_property
+    def Y(self) -> SimplicialComplex:
+        """Hocolim over the whole lattice; T is its full subcomplex on the
+        vertices over the flats other than the bottom."""
+        return hocolim(build_diagram(self.immersed, self.template)).complex
+
     def upset_complex(self, flat) -> SimplicialComplex:
-        """Subcomplex of Y over the flats containing ``flat``; realizes
+        """Subcomplex of T over the flats containing ``flat``; realizes
         intersections of atom subcomplexes via provenance."""
         flat = frozenset(flat)
         keep = {v for v, p in self.provenance.items() if flat <= p}
-        return self.Y.full_subcomplex(keep)
+        return self.T.full_subcomplex(keep)
+
+
+def _t_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
+    """The diagram over the lattice minus its bottom, whose hocolim is T."""
+    lat = im.matroid.lattice()
+    return build_diagram(im, x).restrict(f for f in lat.flats if f != lat.bottom)
 
 
 def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
-    """Hocolim over the whole lattice (Y), over the lattice minus bottom (T),
-    and over each atom's up-set (the covering subcomplexes)."""
-    diagram = build_diagram(im, x)
-    lat = im.matroid.lattice()
-    hc = hocolim(diagram)
+    """T, the hocolim over the lattice minus its bottom, and the covering
+    subcomplexes, each the full subcomplex of T over an atom's up-set."""
+    hc = hocolim(_t_diagram(im, x))
     prov = hc.provenance
-    bottom = lat.bottom
-    t_complex = hc.complex.full_subcomplex(
-        v for v, p in prov.items() if p != bottom
-    )
-    atoms = {}
-    for a in lat.atoms:
-        atoms[a] = hc.complex.full_subcomplex(v for v, p in prov.items() if a <= p)
-    return Representation(im, x, hc.complex, t_complex, atoms, prov)
+    atoms = {
+        a: hc.complex.full_subcomplex(v for v, p in prov.items() if a <= p)
+        for a in im.matroid.lattice().atoms
+    }
+    return Representation(im, x, hc.complex, atoms, prov)
 
 
 def expected_betti(im: ImmersedMatroid, x: SimplicialComplex) -> BettiVector:
@@ -212,15 +216,17 @@ def arrangement_flats(rep: Representation) -> FinitePoset:
     """The intersection poset of the atom subcomplexes.
 
     A set of atoms is closed when no further atom subcomplex contains the
-    intersection of the chosen ones; the empty intersection is all of Y.
+    intersection of the chosen ones.  The empty set is always closed: its
+    intersection is all of Y, whose vertices over the bottom flat lie in
+    no atom subcomplex.
     """
     atoms = sort_labels(rep.atom_subcomplexes)
     vertex_sets = {a: rep.atom_subcomplexes[a].vertices for a in atoms}
-    all_vertices = rep.Y.vertices
-    closed = set()
-    for k in range(len(atoms) + 1):
+    t_vertices = rep.T.vertices
+    closed = {frozenset()}
+    for k in range(1, len(atoms) + 1):
         for combo in itertools.combinations(atoms, k):
-            meet = all_vertices
+            meet = t_vertices
             for a in combo:
                 meet = meet & vertex_sets[a]
             closure = frozenset(b for b in atoms if meet <= vertex_sets[b])
@@ -320,17 +326,12 @@ def induced_representation_map(
         raise NotAdmissible("the weak map does not respect the immersions")
     g = _representation_flat_map(tau)
     src_lat = im_m.matroid.lattice()
-    tgt_lat = im_n.matroid.lattice()
     for p in src_lat.flats:
         if p != src_lat.bottom and not l(p) <= lp.as_dict()[g(p)]:
             raise NotAdmissible(f"rerouted image violates the immersions at {set(p)}")
 
-    d_m = build_diagram(im_m, x).restrict(
-        [f for f in src_lat.flats if f != src_lat.bottom]
-    )
-    d_n = build_diagram(im_n, y_complex).restrict(
-        [f for f in tgt_lat.flats if f != tgt_lat.bottom]
-    )
+    d_m = _t_diagram(im_m, x)
+    d_n = _t_diagram(im_n, y_complex)
     poset_map = {p: g(p) for p in d_m.poset.elements}
     components = {}
     for p in d_m.poset.elements:

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by a different route than the library:
 ranks by direct enumeration of the stored independent family, Mobius values
 by signed chain counting, matrix ranks by a self-contained prime-field
-elimination, weak maps by the injective-preimage definition.
+elimination, weak maps by the injective-preimage definition, maximal chains
+of a poset by enumerating its subsets.
 """
 
 from __future__ import annotations
@@ -87,6 +88,18 @@ def betti_by_gf_rank(komplex) -> dict:
         if b:
             out[k] = b
     return out
+
+
+def maximal_chains_by_brute_force(poset) -> set:
+    """Maximal chains of a finite poset: every subset that is a chain,
+    kept when no other chain strictly contains it."""
+    chains = [
+        frozenset(c)
+        for k in range(1, len(poset.elements) + 1)
+        for c in itertools.combinations(poset.elements, k)
+        if all(poset.leq(a, b) or poset.leq(b, a) for a, b in itertools.combinations(c, 2))
+    ]
+    return {c for c in chains if not any(c < d for d in chains)}
 
 
 def weak_by_definition(setmap) -> bool:

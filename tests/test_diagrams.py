@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matrep.catalog import contrast_diagrams, face_diagram, two_triangle_complex
 from matrep.complexes import (
@@ -23,6 +25,8 @@ from matrep.diagrams import (
     order_complex,
 )
 
+from oracles import maximal_chains_by_brute_force
+
 
 def bv(counts):
     return BettiVector(counts)
@@ -45,6 +49,7 @@ def test_poset_queries():
     assert set(p.minimal_elements()) == {"q", "q2"}
     assert p.maximal_elements() == ("p",)
     assert sorted(p.covers()) == [("q", "p"), ("q2", "p")]
+    assert p.covers() is p.covers()
     restricted = p.restrict({"q", "q2"})
     assert not restricted.leq("q", "q2")
 
@@ -58,6 +63,32 @@ def test_order_complex_shapes():
     wedge = order_complex(FinitePoset(["p", "q", "q2"], [("q", "p"), ("q2", "p")]))
     assert wedge.facets == frozenset({frozenset({"p", "q"}), frozenset({"p", "q2"})})
     assert order_complex(FinitePoset([], [])).is_empty
+
+
+@st.composite
+def random_posets(draw):
+    """Up to 7 elements; each relation i < j (i < j as integers) kept at
+    random, then closed transitively by FinitePoset."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FinitePoset(range(n), [pair for pair, keep in zip(pairs, kept) if keep])
+
+
+@settings(max_examples=80, deadline=None)
+@given(poset=random_posets())
+@example(poset=FinitePoset([], []))
+@example(poset=FinitePoset(range(5), []))
+@example(poset=FinitePoset(range(6), [(0, 3), (1, 3), (1, 4), (2, 4), (3, 5)]))
+def test_order_complex_facets_are_maximal_chains(poset):
+    elements, lt = poset.elements, poset.lt
+    assert set(poset.covers()) == {
+        (a, b)
+        for a in elements
+        for b in elements
+        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in elements)
+    }
+    assert order_complex(poset).facets == maximal_chains_by_brute_force(poset)
 
 
 def test_inclusion_diagram_validation():

@@ -153,6 +153,36 @@ def test_atom_subcomplex_is_upset_hocolim():
     assert restricted.complex == rep.atom_subcomplexes[atom]
 
 
+def test_representation_equals_cut_from_whole_lattice():
+    # T is built over the lattice minus its bottom; it and every subcomplex
+    # over a flat must equal the full subcomplexes of the whole-lattice
+    # hocolim Y over the same vertices, and Y is built only when read
+    for name, im, template in representation_instances():
+        rep = build_representation(im, template)
+        assert "Y" not in vars(rep), name
+        lat = im.matroid.lattice()
+        hc = hocolim(build_diagram(im, template))
+
+        def cut(keep):
+            return hc.complex.full_subcomplex(v for v, p in hc.provenance.items() if keep(p))
+
+        assert rep.T == cut(lambda p: p != lat.bottom), name
+        for a in lat.atoms:
+            assert rep.atom_subcomplexes[a] == cut(lambda p: a <= p), name
+        for f in lat.flats:
+            if f != lat.bottom:
+                assert rep.upset_complex(f) == cut(lambda p: f <= p), name
+        assert rep.Y == hc.complex, name
+
+
+def test_u34_over_s1_constructed():
+    # built, not only predicted by expected_betti; the face counts are those
+    # of the export pinned when T was still cut from the whole-lattice Y
+    rep = build_representation(immersed(uniform(3, 4)), sphere(1))
+    assert reduced_betti(rep.T) == bv({1: 3, 2: 6, 3: 4})
+    assert rep.T.face_counts() == {0: 228, 1: 1236, 2: 1872, 3: 864}
+
+
 def test_formula_agreement_all_instances():
     for name, im, template in representation_instances():
         rep = build_representation(im, template)
