@@ -562,10 +562,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         return args.func(args, started)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except (MatroidError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

@@ -31,37 +31,46 @@ class NaturalityFailure(DiagramError):
 
 
 class FinitePoset:
-    def __init__(self, elements, leq_pairs, *, closed=False):
+    """The order generated by ``relations``: a <= b when a chain of pairs
+    leads from a to b.  The pairs may be the whole order, its covers or any
+    relation in between; a cycle breaks antisymmetry and is refused."""
+
+    def __init__(self, elements, relations):
         self.elements = tuple(sort_labels(set(elements)))
-        index = set(self.elements)
-        up = {x: {x} for x in self.elements}
-        for a, b in leq_pairs:
-            if a not in index or b not in index:
+        succ = {x: set() for x in self.elements}
+        below = {x: set() for x in self.elements}
+        for a, b in relations:
+            if a not in succ or b not in succ:
                 raise DiagramError(f"relation uses unknown element {a!r} or {b!r}")
-            up[a].add(b)
-        if not closed:
-            changed = True
-            while changed:
-                changed = False
-                for x in self.elements:
-                    extra = set()
-                    for y in up[x]:
-                        extra |= up[y]
-                    if not extra <= up[x]:
-                        up[x] |= extra
-                        changed = True
-        for x in self.elements:
-            for y in up[x]:
-                if y != x and x in up[y]:
-                    raise DiagramError(f"antisymmetry fails at {x!r}, {y!r}")
-        self._up = {x: frozenset(s) for x, s in up.items()}
-        self._covers = None
+            if a != b:
+                succ[a].add(b)
+                below[b].add(a)
+        # Up-sets and covers in reverse topological order; elements on or
+        # below a cycle are never ready.  Every cover is a generating pair,
+        # so x is covered by the direct successors above no other one.
+        waiting = {x: len(bs) for x, bs in succ.items()}
+        ready = [x for x, n in waiting.items() if not n]
+        up, covers = {}, []
+        while ready:
+            x = ready.pop()
+            direct = succ[x]
+            up[x] = frozenset({x}).union(*(up[y] for y in direct))
+            covers.extend((x, y) for y in direct if not any(y in up[z] for z in direct if z != y))
+            for a in below[x]:
+                waiting[a] -= 1
+                if not waiting[a]:
+                    ready.append(a)
+        stuck = [x for x in self.elements if x not in up]
+        if stuck:
+            raise DiagramError(f"antisymmetry fails: {stuck[0]!r} lies on or below a cycle")
+        self._up = up
+        self._covers = tuple(covers)
 
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
         elements = list(elements)
         pairs = [(a, b) for a in elements for b in elements if leq(a, b)]
-        return cls(elements, pairs, closed=True)
+        return cls(elements, pairs)
 
     def leq(self, a, b) -> bool:
         if a not in self._up:
@@ -76,9 +85,6 @@ class FinitePoset:
             raise DiagramError(f"unknown element {x!r}")
         return self._up[x]
 
-    def down_set(self, x) -> frozenset:
-        return frozenset(y for y in self.elements if self.leq(y, x))
-
     def minimal_elements(self):
         return tuple(x for x in self.elements if all(not self.lt(y, x) for y in self.elements))
 
@@ -86,17 +92,7 @@ class FinitePoset:
         return tuple(x for x in self.elements if all(not self.lt(x, y) for y in self.elements))
 
     def covers(self) -> tuple:
-        """Pairs (lower, upper) with nothing strictly between, computed once
-        per poset object."""
-        if self._covers is None:
-            out = []
-            for x in self.elements:
-                above = self._up[x] - {x}
-                higher = set()  # strictly above some element of ``above``
-                for y in above:
-                    higher |= self._up[y] - {y}
-                out.extend((x, y) for y in above - higher)
-            self._covers = tuple(out)
+        """Pairs (lower, upper) with nothing strictly between."""
         return self._covers
 
     def restrict(self, subset) -> "FinitePoset":
@@ -104,8 +100,7 @@ class FinitePoset:
         unknown = keep - set(self.elements)
         if unknown:
             raise DiagramError(f"unknown elements {sorted(map(repr, unknown))}")
-        pairs = [(a, b) for a in keep for b in self._up[a] if b in keep]
-        return FinitePoset(keep, pairs, closed=True)
+        return FinitePoset(keep, ((a, b) for a in keep for b in self._up[a] & keep))
 
     def __eq__(self, other):
         return (
@@ -195,16 +190,19 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
 
     Comparing simplices across different poset elements is meaningful
     because the diagram is an inclusion diagram.  Elements carrying the
-    empty complex contribute nothing.
+    empty complex contribute nothing.  It is generated by its covers,
+    (p, s) < (p, s + v) and (p, s) < (q, s) for covers p < q with s in D(q).
     """
     elements = []
+    relations = []
     for p in diagram.poset.elements:
-        for s in sorted(diagram.space(p).nonempty_simplices(), key=label_key):
-            elements.append((p, s))
-    return FinitePoset.from_leq(
-        elements,
-        lambda a, b: diagram.poset.leq(a[0], b[0]) and a[1] <= b[1],
-    )
+        for t in diagram.space(p).nonempty_simplices():
+            elements.append((p, t))
+            if len(t) > 1:
+                relations.extend(((p, t - {v}), (p, t)) for v in t)
+    for p, q in diagram.poset.covers():
+        relations.extend(((p, s), (q, s)) for s in diagram.space(q).nonempty_simplices())
+    return FinitePoset(elements, relations)
 
 
 @dataclass

@@ -67,8 +67,12 @@ class Immersion:
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
+    @functools.cached_property
+    def _mapping(self) -> dict:
+        return dict(self.assignment)
+
     def __call__(self, flat) -> frozenset:
-        return self.as_dict()[frozenset(flat)]
+        return self._mapping[frozenset(flat)]
 
 
 def canonical_immersion(matroid: Matroid, rho: int) -> Immersion:
@@ -130,8 +134,7 @@ def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
     if l.rho != l_prime.rho:
         raise InvalidImmersion("immersions must share rho")
     flat_map = induced_flat_map(tau)
-    lp = l_prime.as_dict()
-    return all(l(p) <= lp[flat_map(p)] for p in l.matroid.lattice().flats)
+    return all(l(p) <= l_prime(flat_map(p)) for p in l.matroid.lattice().flats)
 
 
 def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
@@ -140,7 +143,7 @@ def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
     lat = im.matroid.lattice()
-    poset = FinitePoset.from_leq(lat.flats, lambda a, b: a <= b)
+    poset = FinitePoset(lat.flats, lat.covers())
     spaces = {f: copies_complex(x, im.immersion(f)) for f in lat.flats}
     return InclusionDiagram(poset, spaces)
 
@@ -327,7 +330,7 @@ def induced_representation_map(
     g = _representation_flat_map(tau)
     src_lat = im_m.matroid.lattice()
     for p in src_lat.flats:
-        if p != src_lat.bottom and not l(p) <= lp.as_dict()[g(p)]:
+        if p != src_lat.bottom and not l(p) <= lp(g(p)):
             raise NotAdmissible(f"rerouted image violates the immersions at {set(p)}")
 
     d_m = _t_diagram(im_m, x)
@@ -452,30 +455,24 @@ def _extend_perm(perm):
 
 def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     """The action on x extends copywise to both representations; it must
-    stay simplicial and free there (and on all atom intersections), and the
-    induced map must commute with it on vertices."""
+    stay simplicial and free there, and the induced map must commute with
+    it on vertices.  Simpliciality and freeness are checked on Y, the
+    hocolim over the whole lattice, of which T and every atom intersection
+    are full subcomplexes."""
     if action.complex != x:
         raise ValueError("action must act on the template complex")
-    rep_m = build_representation(im_m, x)
-    rep_n = build_representation(im_n, x)
+    ys = [hocolim(build_diagram(im, x)).complex for im in (im_m, im_n)]
     rmap = induced_representation_map(tau, im_m, im_n, x)
     for perm in action.nonidentity_elements():
         lifted = _extend_perm(perm)
-        for rep in (rep_m, rep_n):
-            simplices = rep.Y.nonempty_simplices()
+        for y in ys:
+            simplices = y.nonempty_simplices()
             for s in simplices:
                 image = frozenset(lifted(v) for v in s)
                 if image not in simplices:
                     raise NotSimplicial("extended action breaks a simplex")
                 if image == s:
                     raise NotFree("extended action fixes a simplex setwise")
-            for flat in rep.lattice.flats:
-                if flat == rep.lattice.bottom:
-                    continue
-                sub = rep.upset_complex(flat)
-                for s in sub.nonempty_simplices():
-                    if frozenset(lifted(v) for v in s) == s:
-                        raise NotFree("extended action fixes an intersection simplex")
         for v in rmap.source.vertices:
             if rmap.vertex_map[lifted(v)] != lifted(rmap.vertex_map[v]):
                 return False

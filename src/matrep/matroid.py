@@ -20,6 +20,9 @@ from .labels import label_key, sort_labels
 
 ZERO = "o"
 
+# U6,12 builds in seconds, U7,14 in a minute: validation pairs up independent sets
+MAX_ELEMENTS = 12
+
 
 class MatroidError(ValueError):
     pass
@@ -58,6 +61,8 @@ class NotSurjective(MatroidError):
 class Matroid:
     def __init__(self, elements, independents):
         elems = set(elements)
+        if len(elems) > MAX_ELEMENTS:
+            raise MatroidError(f"ground set has {len(elems)} elements, over the cap {MAX_ELEMENTS}")
         if ZERO in elems:
             raise MatroidError(f"the label {ZERO!r} is reserved for the zero element")
         self.elements = tuple(sort_labels(elems))
@@ -193,9 +198,6 @@ class GeometricLattice:
             below = [a for a in self.atoms if a <= f]
             if self.matroid.closure(frozenset().union(*below) if below else ()) != f:
                 raise MatroidError(f"flat {set(f)} is not a join of atoms")
-
-    def leq(self, p, q) -> bool:
-        return p <= q
 
     def join(self, p, q) -> frozenset:
         return self.matroid.closure(p | q)

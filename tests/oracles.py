@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different route than the library:
 ranks by direct enumeration of the stored independent family, Mobius values
 by signed chain counting, matrix ranks by a self-contained prime-field
 elimination, weak maps by the injective-preimage definition, maximal chains
-of a poset by enumerating its subsets.
+of a poset by enumerating its subsets, covers by testing every triple, and
+Grothendieck posets by comparing every pair of elements.
 """
 
 from __future__ import annotations
@@ -100,6 +101,30 @@ def maximal_chains_by_brute_force(poset) -> set:
         if all(poset.leq(a, b) or poset.leq(b, a) for a, b in itertools.combinations(c, 2))
     ]
     return {c for c in chains if not any(c < d for d in chains)}
+
+
+def covers_by_definition(poset) -> set:
+    """Pairs a < b with no c strictly between, tested on every triple."""
+    elements, lt = poset.elements, poset.lt
+    return {
+        (a, b)
+        for a in elements
+        for b in elements
+        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in elements)
+    }
+
+
+def grothendieck_poset_by_definition(diagram):
+    """Pairs (p, nonempty simplex s of D(p)), with (p, s) <= (q, t) exactly
+    when p <= q and s is a face of t, tested on every pair of pairs."""
+    from matrep.diagrams import FinitePoset
+
+    elements = [
+        (p, s) for p in diagram.poset.elements for s in diagram.space(p).nonempty_simplices()
+    ]
+    return FinitePoset.from_leq(
+        elements, lambda a, b: diagram.poset.leq(a[0], b[0]) and a[1] <= b[1]
+    )
 
 
 def weak_by_definition(setmap) -> bool:

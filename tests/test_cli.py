@@ -1,6 +1,7 @@
 import json
 
 from matrep import cli
+from matrep.matroid import MAX_ELEMENTS
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,12 @@ def test_info_five_point(capsys):
     assert code == 0
     assert report["results"]["num_flats"] == 10
     assert report["results"]["whitney"] == [1, 4, 5, 2]
+
+
+def test_info_refuses_oversized_ground_set(capsys):
+    code, report = run_cli(capsys, "info", "U3,40")
+    assert code == 3 and report is None
+    assert "40" in run_cli.last_err and str(MAX_ELEMENTS) in run_cli.last_err
 
 
 def test_info_report_deterministic(capsys):

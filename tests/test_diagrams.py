@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matrep.catalog import contrast_diagrams, face_diagram, two_triangle_complex
@@ -12,6 +12,7 @@ from matrep.complexes import (
     sphere,
 )
 from matrep.diagrams import (
+    DiagramError,
     DiagramMorphism,
     FinitePoset,
     InclusionDiagram,
@@ -25,7 +26,11 @@ from matrep.diagrams import (
     order_complex,
 )
 
-from oracles import maximal_chains_by_brute_force
+from oracles import (
+    covers_by_definition,
+    grothendieck_poset_by_definition,
+    maximal_chains_by_brute_force,
+)
 
 
 def bv(counts):
@@ -66,10 +71,10 @@ def test_order_complex_shapes():
 
 
 @st.composite
-def random_posets(draw):
-    """Up to 7 elements; each relation i < j (i < j as integers) kept at
-    random, then closed transitively by FinitePoset."""
-    n = draw(st.integers(min_value=0, max_value=7))
+def random_posets(draw, max_size=7):
+    """Up to ``max_size`` elements; each relation i < j (i < j as integers)
+    kept at random, then closed transitively by FinitePoset."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return FinitePoset(range(n), [pair for pair, keep in zip(pairs, kept) if keep])
@@ -81,14 +86,44 @@ def random_posets(draw):
 @example(poset=FinitePoset(range(5), []))
 @example(poset=FinitePoset(range(6), [(0, 3), (1, 3), (1, 4), (2, 4), (3, 5)]))
 def test_order_complex_facets_are_maximal_chains(poset):
-    elements, lt = poset.elements, poset.lt
-    assert set(poset.covers()) == {
-        (a, b)
-        for a in elements
-        for b in elements
-        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in elements)
-    }
+    assert set(poset.covers()) == covers_by_definition(poset)
     assert order_complex(poset).facets == maximal_chains_by_brute_force(poset)
+
+
+def test_cyclic_relation_is_refused():
+    with pytest.raises(DiagramError):
+        FinitePoset(range(3), [(0, 1), (1, 2), (2, 0)])
+
+
+@st.composite
+def random_inclusion_diagrams(draw):
+    """Posets on up to 5 elements; D(p) is the full subcomplex of one random
+    complex on the vertices that no q <= p removes, so D(q) contains D(p)."""
+    poset = draw(random_posets(max_size=5))
+    vertices = frozenset(range(3))
+    komplex = SimplicialComplex(
+        draw(st.lists(st.frozensets(st.sampled_from(sorted(vertices)), min_size=1), max_size=3))
+    )
+    removed = {p: draw(st.frozensets(st.sampled_from(sorted(vertices)))) for p in poset.elements}
+    spaces = {
+        p: komplex.full_subcomplex(
+            vertices.difference(*(removed[q] for q in poset.elements if poset.leq(q, p)))
+        )
+        for p in poset.elements
+    }
+    return InclusionDiagram(poset, spaces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagram=random_inclusion_diagrams())
+def test_grothendieck_poset_matches_definition(diagram):
+    reference = grothendieck_poset_by_definition(diagram)
+    assume(len(reference.elements) <= 14)  # the chain oracle enumerates subsets
+    gr = grothendieck_poset(diagram)
+    assert gr.elements == reference.elements
+    assert all(gr.leq(a, b) == reference.leq(a, b) for a in gr.elements for b in gr.elements)
+    assert set(gr.covers()) == covers_by_definition(reference)
+    assert hocolim(diagram).complex.facets == maximal_chains_by_brute_force(reference)
 
 
 def test_inclusion_diagram_validation():
