@@ -6,10 +6,16 @@ complex contains the empty simplex, which makes the reduced-homology and
 ``S^{-1}`` join conventions uniform: the empty complex has a single reduced
 Betti number 1 in degree -1 and is the unit for joins.
 
-Vertex labels are ints, strings, tuples or frozensets.  Binary constructors
-(join, disjoint union) keep labels when the inputs are label-disjoint and
-otherwise relabel both sides with namespace tuples ``(0, v)`` / ``(1, v)``,
-deterministically.
+Vertex labels are ints, strings, tuples or frozensets.  A complex sorts its
+vertices by ``label_key`` once, on first use; simplices are enumerated and
+sorted as tuples of vertex ranks, which is ``label_key`` order because the
+key is injective.  Full subcomplexes, and order complexes of posets (whose
+elements are already sorted), inherit the order instead of keying their
+vertices again.
+
+Binary constructors (join, disjoint union) keep labels when the inputs are
+label-disjoint and otherwise relabel both sides with namespace tuples
+``(0, v)`` / ``(1, v)``, deterministically.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ class NotSimplicial(ValueError):
 class SimplicialComplex:
     def __init__(self, facets=()):
         self._facets = _maximal_faces(facets)
+        self._vertices = None
+        self._order = None
         self._simplices = None
         self._simplex_set = None
         self._reduction = None
@@ -40,13 +48,33 @@ class SimplicialComplex:
     def point(cls, label=0) -> "SimplicialComplex":
         return cls([[label]])
 
+    @classmethod
+    def _cut_from(cls, facets, order) -> "SimplicialComplex":
+        """The complex on ``facets``, its vertex order cut from ``order``.
+
+        ``order`` must be sorted by ``label_key`` and hold every vertex, as
+        the order of a complex the new one is cut from does.
+        """
+        komplex = cls(facets)
+        vertices = komplex.vertices
+        komplex._order = tuple(v for v in order if v in vertices)
+        return komplex
+
     @property
     def facets(self) -> frozenset:
         return self._facets
 
     @property
     def vertices(self) -> frozenset:
-        return frozenset(v for f in self._facets for v in f)
+        if self._vertices is None:
+            self._vertices = frozenset().union(*self._facets)
+        return self._vertices
+
+    def _vertex_order(self) -> tuple:
+        """The vertices sorted by ``label_key``, sorted once per complex."""
+        if self._order is None:
+            self._order = tuple(sort_labels(self.vertices))
+        return self._order
 
     @property
     def dim(self) -> int:
@@ -57,20 +85,22 @@ class SimplicialComplex:
         return not self._facets
 
     def simplices_by_dim(self) -> dict:
-        """Sorted simplices per dimension; dimension -1 holds the empty simplex."""
+        """Sorted simplices per dimension; dimension -1 holds the empty simplex.
+
+        Faces are enumerated and sorted as tuples of vertex ranks, which
+        order them as their ``label_key`` tuples would.
+        """
         if self._simplices is None:
-            key = {v: label_key(v) for v in self.vertices}
+            order = self._vertex_order()
+            rank = {v: i for i, v in enumerate(order)}
             seen = set()
             for f in self._facets:
-                verts = sorted(f, key=key.__getitem__)
-                for k in range(len(f) + 1):
-                    seen.update(itertools.combinations(verts, k))
+                ranks = sorted(map(rank.__getitem__, f))
+                for k in range(1, len(f) + 1):
+                    seen.update(itertools.combinations(ranks, k))
             by_dim: dict[int, list] = {-1: [()]}
-            for s in seen:
-                if s:
-                    by_dim.setdefault(len(s) - 1, []).append(s)
-            for k in by_dim:
-                by_dim[k].sort(key=lambda s: tuple(key[v] for v in s))
+            for s in sorted(seen):
+                by_dim.setdefault(len(s) - 1, []).append(tuple(map(order.__getitem__, s)))
             self._simplices = by_dim
         return self._simplices
 
@@ -92,7 +122,7 @@ class SimplicialComplex:
     def full_subcomplex(self, keep_vertices) -> "SimplicialComplex":
         """Subcomplex on the simplices entirely inside ``keep_vertices``."""
         keep = frozenset(keep_vertices)
-        return SimplicialComplex(f & keep for f in self._facets)
+        return SimplicialComplex._cut_from((f & keep for f in self._facets), self._vertex_order())
 
     def relabel(self, fn) -> "SimplicialComplex":
         return SimplicialComplex(frozenset(fn(v) for v in f) for f in self._facets)
@@ -105,9 +135,9 @@ class SimplicialComplex:
         return sum((-1) ** k * n for k, n in self.face_counts().items())
 
     def to_doc(self) -> dict:
-        verts = [format_label(v) for v in sort_labels(self.vertices)]
-        facets = sorted(sorted(format_label(v) for v in f) for f in self._facets)
-        return {"vertices": verts, "facets": facets}
+        name = {v: format_label(v) for v in self._vertex_order()}
+        facets = sorted(sorted(name[v] for v in f) for f in self._facets)
+        return {"vertices": list(name.values()), "facets": facets}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SimplicialComplex":
@@ -419,6 +449,7 @@ class HomologyMap:
         self.target_betti = _betti(tgt)
         src_by_dim = f.source.simplices_by_dim()
         tgt_by_dim = f.target.simplices_by_dim()
+        tgt_rank = {v: i for i, v in enumerate(f.target._vertex_order())}
         self.matrices = {}
         for k in range(-1, max(f.source.dim, f.target.dim) + 1):
             src_reps = src.get(k, ({}, {}))[1]
@@ -432,7 +463,7 @@ class HomologyMap:
                     imgs = [f.vertex_map[v] for v in simplices[index]]
                     if len(set(imgs)) < len(imgs):
                         continue
-                    order = sorted(range(len(imgs)), key=lambda i: label_key(imgs[i]))
+                    order = sorted(range(len(imgs)), key=lambda i: tgt_rank[imgs[i]])
                     t = tgt_index[tuple(imgs[i] for i in order)]
                     image[t] = image.get(t, 0) + c * _permutation_sign(order)
                 image = {t: v for t, v in image.items() if v}

@@ -143,7 +143,7 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
 
     for x in minimal:
         extend([x])
-    return SimplicialComplex(facets)
+    return SimplicialComplex._cut_from(facets, poset.elements)
 
 
 class InclusionDiagram:

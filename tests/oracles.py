@@ -4,15 +4,17 @@ Each oracle recomputes a quantity by a different route than the library:
 ranks by direct enumeration of the stored independent family, Mobius values
 by signed chain counting, matrix ranks by a self-contained prime-field
 elimination, weak maps by the injective-preimage definition, maximal chains
-of a poset by enumerating its subsets, covers by testing every triple, and
-Grothendieck posets by comparing every pair of elements.
+of a poset by enumerating its subsets, covers by testing every triple,
+Grothendieck posets by comparing every pair of elements, the exchange axiom
+on every two sizes, lattice covers by comparing every pair of flats, and
+simplex orders and exports by sorting every simplex through ``label_key``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from matrep.labels import label_key
+from matrep.labels import label_key, sort_labels
 from matrep.matroid import ZERO
 
 
@@ -151,3 +153,62 @@ def all_set_maps(source, target):
 
 def sorted_flats(flats):
     return sorted(flats, key=label_key)
+
+
+def exchange_failures_by_definition(family) -> set:
+    """Pairs (x, y) with |x| < |y| and no e in y - x keeping x + e in the
+    family, tested on every two sets of every two sizes."""
+    return {
+        (x, y)
+        for x in family
+        for y in family
+        if len(x) < len(y) and not any(x | {e} in family for e in y - x)
+    }
+
+
+def lattice_covers_by_definition(lattice) -> list:
+    """Pairs p < q of flats one rank apart, comparing every pair of flats."""
+    return [
+        (p, q)
+        for p in lattice.flats
+        for q in lattice.flats
+        if lattice.rank_of[q] == lattice.rank_of[p] + 1 and p < q
+    ]
+
+
+def simplices_by_definition(komplex) -> dict:
+    """Every face of every facet, grouped by dimension, each simplex and
+    each dimension sorted through ``label_key``."""
+    seen = set()
+    for f in komplex.facets:
+        verts = sort_labels(f)
+        for k in range(len(f) + 1):
+            seen.update(itertools.combinations(verts, k))
+    by_dim = {-1: [()]}
+    for s in seen:
+        if s:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+    for ss in by_dim.values():
+        ss.sort(key=lambda s: tuple(label_key(v) for v in s))
+    return by_dim
+
+
+def format_label_by_definition(x) -> str:
+    """A label's string, formatting the elements of a frozenset in
+    ``label_key`` order."""
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return "(" + ",".join(format_label_by_definition(e) for e in x) + ")"
+    return "{" + ",".join(format_label_by_definition(e) for e in sort_labels(x)) + "}"
+
+
+def to_doc_by_definition(komplex) -> dict:
+    """The export: sorted formatted vertices and sorted formatted facets."""
+    fmt = format_label_by_definition
+    return {
+        "vertices": [fmt(v) for v in sort_labels(komplex.vertices)],
+        "facets": sorted(sorted(fmt(v) for v in f) for f in komplex.facets),
+    }

@@ -7,6 +7,7 @@ from matrep.complexes import (
     BettiVector,
     SimplicialComplex,
     SimplicialMap,
+    compose_matrices,
     homology_map,
     reduced_betti,
     sphere,
@@ -25,11 +26,14 @@ from matrep.diagrams import (
     induced_map,
     order_complex,
 )
+from matrep.labels import sort_labels
 
 from oracles import (
     covers_by_definition,
     grothendieck_poset_by_definition,
     maximal_chains_by_brute_force,
+    simplices_by_definition,
+    to_doc_by_definition,
 )
 
 
@@ -124,6 +128,44 @@ def test_grothendieck_poset_matches_definition(diagram):
     assert all(gr.leq(a, b) == reference.leq(a, b) for a in gr.elements for b in gr.elements)
     assert set(gr.covers()) == covers_by_definition(reference)
     assert hocolim(diagram).complex.facets == maximal_chains_by_brute_force(reference)
+
+
+NESTED_LABELS = st.recursive(
+    st.integers(min_value=0, max_value=3) | st.sampled_from(["a", "b"]),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def nested_label_complexes(draw):
+    """Up to six facets on up to six distinct nested labels."""
+    labels = draw(st.lists(NESTED_LABELS, min_size=1, max_size=6, unique=True))
+    facets = st.frozensets(st.sampled_from(labels), min_size=1, max_size=3)
+    return SimplicialComplex(draw(st.lists(facets, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    komplex=st.one_of(
+        nested_label_complexes(),
+        random_posets().map(order_complex),
+        random_inclusion_diagrams().map(lambda d: hocolim(d).complex),
+    ),
+    data=st.data(),
+)
+def test_vertex_order_matches_label_key_sort(komplex, data):
+    """Simplex orders and exports, of a complex and of a full subcomplex
+    that inherits its vertex order, equal those sorted through label_key."""
+    verts = sort_labels(komplex.vertices)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(verts), max_size=len(verts)))
+    sub = komplex.full_subcomplex(v for v, keep in zip(verts, kept) if keep)
+    for each in (komplex, sub):
+        assert each.simplices_by_dim() == simplices_by_definition(each)
+        assert each.to_doc() == to_doc_by_definition(each)
+    inclusion = SimplicialMap(sub, komplex, {v: v for v in sub.vertices})
+    identity = homology_map(SimplicialMap.identity(komplex))
+    assert homology_map(inclusion).matrices == compose_matrices(identity, homology_map(inclusion))
 
 
 def test_inclusion_diagram_validation():

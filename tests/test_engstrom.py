@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from matrep import labels
 from matrep.catalog import (
     five_point_immersion,
     five_point_matroid,
@@ -181,6 +184,35 @@ def test_u34_over_s1_constructed():
     rep = build_representation(immersed(uniform(3, 4)), sphere(1))
     assert reduced_betti(rep.T) == bv({1: 3, 2: 6, 3: 4})
     assert rep.T.face_counts() == {0: 228, 1: 1236, 2: 1872, 3: 864}
+
+
+def test_vertex_keys_are_not_recomputed(monkeypatch):
+    """Each complex keys its vertices once and derived complexes inherit
+    the order: the homology of T and of its atom subcomplexes keys nothing,
+    and exporting T keys each vertex once, not once per facet."""
+    original = labels.label_key
+    calls, depth = [], [0]
+
+    def counting(x):
+        if not depth[0]:
+            calls.append(x)
+        depth[0] += 1
+        try:
+            return original(x)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matrep" and getattr(module, "label_key", None) is original:
+            monkeypatch.setattr(module, "label_key", counting)
+    rep = build_representation(immersed(uniform(4, 5), rho=4), sphere(0))
+    calls.clear()
+    reduced_betti(rep.T)
+    for sub in rep.atom_subcomplexes.values():
+        reduced_betti(sub)
+    assert calls == []
+    rep.T.to_doc()
+    assert 0 < len(calls) < len(rep.T.facets)
 
 
 def test_formula_agreement_all_instances():

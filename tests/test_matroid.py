@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matrep.catalog import (
@@ -37,6 +37,8 @@ from oracles import (
     all_set_maps,
     brute_closure,
     brute_rank,
+    exchange_failures_by_definition,
+    lattice_covers_by_definition,
     mobius_by_chain_counting,
     weak_by_definition,
 )
@@ -71,6 +73,32 @@ def test_matroid_from_bases_rejects_exchange_failure():
     with pytest.raises(ExchangeFailure) as info:
         matroid_from_bases([1, 2, 3, 4], [{1, 2}, {3, 4}])
     assert info.value.witness is not None
+
+
+def down_closure(tops) -> set:
+    return {frozenset(c) for t in tops for k in range(len(t) + 1) for c in itertools.combinations(t, k)}
+
+
+@st.composite
+def subset_closed_families(draw):
+    """Every subset of up to four random sets over at most five elements."""
+    elements = range(draw(st.integers(min_value=1, max_value=5)))
+    tops = draw(st.lists(st.frozensets(st.sampled_from(elements)), min_size=1, max_size=4))
+    return elements, down_closure(tops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=subset_closed_families())
+@example(drawn=(range(4), down_closure([{1, 2, 3}, {0}])))  # fails on sizes 1, 2 only
+def test_exchange_checked_on_consecutive_sizes(drawn):
+    elements, family = drawn
+    failures = exchange_failures_by_definition(family)
+    if not failures:
+        assert Matroid(elements, family).independents == family
+        return
+    with pytest.raises(ExchangeFailure) as info:
+        Matroid(elements, family)
+    assert info.value.witness in failures
 
 
 def test_zero_label_is_reserved():
@@ -169,6 +197,13 @@ def test_lattice_counts():
     assert len(uniform(2, 4).lattice().flats) == 6
     assert len(five_point_matroid().lattice().flats) == 10
     assert len(uniform(1, 1).lattice().flats) == 2
+
+
+def test_lattice_covers_match_definition():
+    for name in catalog_names():
+        lat = catalog_matroid(name).lattice()
+        assert lat.covers() == tuple(lattice_covers_by_definition(lat)), name
+        assert lat.covers() is lat.covers()
 
 
 def test_lattice_semimodular_and_atomic():
