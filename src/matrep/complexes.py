@@ -7,11 +7,16 @@ complex contains the empty simplex, which makes the reduced-homology and
 Betti number 1 in degree -1 and is the unit for joins.
 
 Vertex labels are ints, strings, tuples or frozensets.  A complex sorts its
-vertices by ``label_key`` once, on first use; simplices are enumerated and
-sorted as tuples of vertex ranks, which is ``label_key`` order because the
-key is injective.  Full subcomplexes, and order complexes of posets (whose
-elements are already sorted), inherit the order instead of keying their
-vertices again.
+vertices by ``label_key`` once, on first use, and stores one sorted list of
+simplices per dimension, as tuples of vertex ranks; rank order is
+``label_key`` order because the key is injective.  Boundary matrices, face
+counts and homology maps work on the rank tuples, and labels are put back
+only for callers that ask for them (``simplices_by_dim``,
+``nonempty_simplices``).  Full subcomplexes inherit the order of the complex
+they are cut from.  Constructions that know their facets are maximal and
+their vertices sorted (order complexes of posets, joins of copies of a
+complex) hand both to a private constructor that keeps them as given, so
+they filter no facet list and key no vertex.
 
 Binary constructors (join, disjoint union) keep labels when the inputs are
 label-disjoint and otherwise relabel both sides with namespace tuples
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .labels import format_label, label_key, sort_labels
+from .labels import label_formatter, sort_labels
 from . import linalg
 
 
@@ -32,32 +37,37 @@ class NotSimplicial(ValueError):
 
 
 class SimplicialComplex:
+    # computed on first use and kept on the object
+    _vertices = None
+    _order = None
+    _simplices = None
+    _simplex_set = None
+    _reduction = None
+
     def __init__(self, facets=()):
         self._facets = _maximal_faces(facets)
-        self._vertices = None
-        self._order = None
-        self._simplices = None
-        self._simplex_set = None
-        self._reduction = None
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
-        return cls(())
+        return cls._known((), ())
 
     @classmethod
     def point(cls, label=0) -> "SimplicialComplex":
         return cls([[label]])
 
     @classmethod
-    def _cut_from(cls, facets, order) -> "SimplicialComplex":
-        """The complex on ``facets``, its vertex order cut from ``order``.
+    def _known(cls, facets, order) -> "SimplicialComplex":
+        """The complex whose facets are exactly ``facets`` and whose vertex
+        order is ``order``, with nothing checked or filtered.
 
-        ``order`` must be sorted by ``label_key`` and hold every vertex, as
-        the order of a complex the new one is cut from does.
+        ``facets`` must be distinct, nonempty, pairwise incomparable
+        frozensets, and ``order`` must hold their vertices sorted by
+        ``label_key``, as a construction that knows both hands them over.
         """
-        komplex = cls(facets)
-        vertices = komplex.vertices
-        komplex._order = tuple(v for v in order if v in vertices)
+        komplex = cls.__new__(cls)
+        komplex._facets = frozenset(facets)
+        komplex._order = tuple(order)
+        komplex._vertices = frozenset(komplex._order)
         return komplex
 
     @property
@@ -84,15 +94,15 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    def simplices_by_dim(self) -> dict:
-        """Sorted simplices per dimension; dimension -1 holds the empty simplex.
+    def _ranked(self) -> dict:
+        """Sorted simplices per dimension as tuples of vertex ranks, the
+        complex's one stored simplex list; dimension -1 holds ``()``.
 
-        Faces are enumerated and sorted as tuples of vertex ranks, which
-        order them as their ``label_key`` tuples would.
+        Rank order is ``label_key`` order, so these tuples sort as the
+        ``label_key`` tuples of their vertices would.
         """
         if self._simplices is None:
-            order = self._vertex_order()
-            rank = {v: i for i, v in enumerate(order)}
+            rank = {v: i for i, v in enumerate(self._vertex_order())}
             seen = set()
             for f in self._facets:
                 ranks = sorted(map(rank.__getitem__, f))
@@ -100,16 +110,25 @@ class SimplicialComplex:
                     seen.update(itertools.combinations(ranks, k))
             by_dim: dict[int, list] = {-1: [()]}
             for s in sorted(seen):
-                by_dim.setdefault(len(s) - 1, []).append(tuple(map(order.__getitem__, s)))
+                by_dim.setdefault(len(s) - 1, []).append(s)
             self._simplices = by_dim
         return self._simplices
+
+    def simplices_by_dim(self) -> dict:
+        """Sorted simplices per dimension, as tuples of vertex labels;
+        dimension -1 holds the empty simplex."""
+        order = self._vertex_order()
+        return {k: [tuple(map(order.__getitem__, s)) for s in ss] for k, ss in self._ranked().items()}
 
     def nonempty_simplices(self):
         """All nonempty simplices as frozensets."""
         if self._simplex_set is None:
-            by_dim = self.simplices_by_dim()
+            order = self._vertex_order()
             self._simplex_set = frozenset(
-                frozenset(s) for k, ss in by_dim.items() if k >= 0 for s in ss
+                frozenset(map(order.__getitem__, s))
+                for k, ss in self._ranked().items()
+                if k >= 0
+                for s in ss
             )
         return self._simplex_set
 
@@ -122,20 +141,23 @@ class SimplicialComplex:
     def full_subcomplex(self, keep_vertices) -> "SimplicialComplex":
         """Subcomplex on the simplices entirely inside ``keep_vertices``."""
         keep = frozenset(keep_vertices)
-        return SimplicialComplex._cut_from((f & keep for f in self._facets), self._vertex_order())
+        komplex = SimplicialComplex(f & keep for f in self._facets)
+        vertices = komplex.vertices
+        komplex._order = tuple(v for v in self._vertex_order() if v in vertices)
+        return komplex
 
     def relabel(self, fn) -> "SimplicialComplex":
         return SimplicialComplex(frozenset(fn(v) for v in f) for f in self._facets)
 
     def face_counts(self) -> dict:
-        by_dim = self.simplices_by_dim()
-        return {k: len(ss) for k, ss in by_dim.items() if k >= 0}
+        return {k: len(ss) for k, ss in self._ranked().items() if k >= 0}
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.face_counts().items())
 
     def to_doc(self) -> dict:
-        name = {v: format_label(v) for v in self._vertex_order()}
+        fmt = label_formatter()
+        name = {v: fmt(v) for v in self._vertex_order()}
         facets = sorted(sorted(name[v] for v in f) for f in self._facets)
         return {"vertices": list(name.values()), "facets": facets}
 
@@ -208,13 +230,14 @@ def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
 
     No indices yields the empty complex, the join unit.
     """
-    idx = sorted(indices)
+    idx = sorted(set(indices))
     if not idx or x.is_empty:
         return SimplicialComplex.empty()
     facets = []
-    for choice in itertools.product(sorted(x.facets, key=label_key), repeat=len(idx)):
+    for choice in itertools.product(x.facets, repeat=len(idx)):
         facets.append(frozenset((i, v) for i, f in zip(idx, choice) for v in f))
-    return SimplicialComplex(facets)
+    # joins of facets of disjoint copies are maximal and distinct
+    return SimplicialComplex._known(facets, [(i, v) for i in idx for v in x._vertex_order()])
 
 
 def iterated_join(x: SimplicialComplex, d: int) -> SimplicialComplex:
@@ -312,7 +335,7 @@ def boundary_columns(komplex: SimplicialComplex, k: int):
     augmentation onto the empty simplex, so reduced homology comes out of
     the same machinery as every other degree.
     """
-    by_dim = komplex.simplices_by_dim()
+    by_dim = komplex._ranked()
     row_index = {s: i for i, s in enumerate(by_dim.get(k - 1, []))}
     return [
         {row_index[s[:i] + s[i + 1 :]]: 1 if i % 2 == 0 else -1 for i in range(len(s))}
@@ -323,7 +346,7 @@ def boundary_columns(komplex: SimplicialComplex, k: int):
 def boundary_rows(komplex: SimplicialComplex, k: int):
     """The degree-k boundary matrix as sparse rows, with its column count."""
     columns = boundary_columns(komplex, k)
-    rows = [dict() for _ in komplex.simplices_by_dim().get(k - 1, [])]
+    rows = [dict() for _ in komplex._ranked().get(k - 1, [])]
     for j, column in enumerate(columns):
         for i, value in column.items():
             rows[i][j] = value
@@ -447,9 +470,10 @@ class HomologyMap:
         src, tgt = _reduction(f.source), _reduction(f.target)
         self.source_betti = _betti(src)
         self.target_betti = _betti(tgt)
-        src_by_dim = f.source.simplices_by_dim()
-        tgt_by_dim = f.target.simplices_by_dim()
+        src_by_dim = f.source._ranked()
+        tgt_by_dim = f.target._ranked()
         tgt_rank = {v: i for i, v in enumerate(f.target._vertex_order())}
+        image_rank = [tgt_rank[f.vertex_map[v]] for v in f.source._vertex_order()]
         self.matrices = {}
         for k in range(-1, max(f.source.dim, f.target.dim) + 1):
             src_reps = src.get(k, ({}, {}))[1]
@@ -460,10 +484,10 @@ class HomologyMap:
             for j in sorted(src_reps):
                 image = {}
                 for index, c in src_reps[j].items():
-                    imgs = [f.vertex_map[v] for v in simplices[index]]
+                    imgs = [image_rank[r] for r in simplices[index]]
                     if len(set(imgs)) < len(imgs):
                         continue
-                    order = sorted(range(len(imgs)), key=lambda i: tgt_rank[imgs[i]])
+                    order = sorted(range(len(imgs)), key=imgs.__getitem__)
                     t = tgt_index[tuple(imgs[i] for i in order)]
                     image[t] = image.get(t, 0) + c * _permutation_sign(order)
                 image = {t: v for t, v in image.items() if v}

@@ -8,14 +8,22 @@ of the Grothendieck poset of pairs (element, nonempty simplex); for a
 one-element poset this is the barycentric subdivision of the carried
 complex, and in general it is the canonical subdivision of the usual
 mapping-cylinder construction.
+
+A poset given by outside pairs is sorted by ``label_key`` and closed once.
+A Grothendieck poset is handed over already sorted, as its cover relation,
+and builds its up-sets only if asked.  Order complexes are enumerated
+along covers, and the part of a hocolim over an up-set of the diagram
+poset is the order complex of the matching up-set of the Grothendieck
+poset, so no chain is cut or tested for maximality.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, SimplicialMap
-from .labels import label_key, sort_labels
+from .labels import sort_labels
 
 
 class DiagramError(ValueError):
@@ -67,6 +75,24 @@ class FinitePoset:
         self._covers = tuple(covers)
 
     @classmethod
+    def _from_covers(cls, elements, covers) -> "FinitePoset":
+        """The poset whose elements and cover relation are handed over,
+        with nothing sorted or checked; up-sets are built on first use.
+
+        ``elements`` must be distinct and sorted by ``label_key``, and
+        ``covers`` must be exactly the cover relation of an acyclic relation
+        on them, as a construction that knows both hands them over.
+        """
+        poset = cls.__new__(cls)
+        poset.elements = tuple(elements)
+        poset._covers = tuple(covers)
+        return poset
+
+    @functools.cached_property
+    def _up(self) -> dict:
+        return FinitePoset(self.elements, self._covers)._up
+
+    @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
         elements = list(elements)
         pairs = [(a, b) for a in elements for b in elements if leq(a, b)]
@@ -110,7 +136,7 @@ class FinitePoset:
         )
 
     def __hash__(self):
-        return hash((self.elements, tuple(sorted(self._up.items(), key=lambda kv: label_key(kv[0])))))
+        return hash((self.elements, tuple(self._up[x] for x in self.elements)))
 
     def __repr__(self):
         return f"FinitePoset({len(self.elements)} elements)"
@@ -122,7 +148,8 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
     Its facets are the maximal chains, and a chain is maximal exactly when
     it climbs by cover relations from a minimal element to a maximal one
     (Bjorner, "Topological methods", 1995), so the facets are enumerated as
-    cover paths and no chain is tested for maximality.
+    cover paths and no chain is tested for maximality.  The complex takes
+    them as they are, and the poset's sorted elements as its vertex order.
     """
     upper = {x: [] for x in poset.elements}
     minimal = set(poset.elements)
@@ -143,7 +170,7 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
 
     for x in minimal:
         extend([x])
-    return SimplicialComplex._cut_from(facets, poset.elements)
+    return SimplicialComplex._known(facets, poset.elements)
 
 
 class InclusionDiagram:
@@ -190,25 +217,49 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
 
     Comparing simplices across different poset elements is meaningful
     because the diagram is an inclusion diagram.  Elements carrying the
-    empty complex contribute nothing.  It is generated by its covers,
-    (p, s) < (p, s + v) and (p, s) < (q, s) for covers p < q with s in D(q).
+    empty complex contribute nothing.  It is generated by (p, s) < (p, s + v)
+    and by (p, s) < (q, s) for covers p < q with s in D(q), and these pairs
+    are exactly its covers: a chain of other such pairs from (p, s) to
+    (p, s + v) or to (q, s) would have to pass strictly between p and q or
+    between s and s + v.  So the poset is handed over as its covers, with
+    the pairs already in ``label_key`` order: elements p in the diagram
+    poset's order, and the simplices of D(p) as sorted tuples of D(p)'s
+    vertex ranks, in lexicographic order.
     """
-    elements = []
-    relations = []
+    elements, covers = [], []
+    pair_of = {}  # p -> simplex of D(p) -> the pair (p, simplex)
     for p in diagram.poset.elements:
-        for t in diagram.space(p).nonempty_simplices():
-            elements.append((p, t))
-            if len(t) > 1:
-                relations.extend(((p, t - {v}), (p, t)) for v in t)
+        space = diagram.space(p)
+        order = space._vertex_order()
+        ranked = sorted(s for ss in space._ranked().values() for s in ss if s)
+        by_rank = {s: (p, frozenset(map(order.__getitem__, s))) for s in ranked}
+        elements.extend(by_rank.values())
+        for s, pair in by_rank.items():
+            if len(s) > 1:
+                covers.extend((by_rank[s[:i] + s[i + 1 :]], pair) for i in range(len(s)))
+        pair_of[p] = {pair[1]: pair for pair in by_rank.values()}
     for p, q in diagram.poset.covers():
-        relations.extend(((p, s), (q, s)) for s in diagram.space(q).nonempty_simplices())
-    return FinitePoset(elements, relations)
+        covers.extend((pair_of[p][t], pair) for t, pair in pair_of[q].items())
+    return FinitePoset._from_covers(elements, covers)
 
 
 @dataclass
 class Hocolim:
     complex: SimplicialComplex
     provenance: dict  # hocolim vertex -> poset element
+    poset: FinitePoset  # the Grothendieck poset whose order complex it is
+
+    def over_upset(self, keep) -> SimplicialComplex:
+        """The full subcomplex on the vertices (p, s) with ``keep(p)``,
+        where the elements p that ``keep`` selects form an up-set.
+
+        A full subcomplex of an order complex is the order complex of the
+        induced subposet, and an up-set keeps the covers of its poset, so
+        it is built along those covers with no chain cut or filtered.
+        """
+        elements = [v for v in self.poset.elements if keep(v[0])]
+        covers = [(a, b) for a, b in self.poset.covers() if keep(a[0])]
+        return order_complex(FinitePoset._from_covers(elements, covers))
 
 
 def hocolim(diagram: InclusionDiagram) -> Hocolim:
@@ -216,7 +267,7 @@ def hocolim(diagram: InclusionDiagram) -> Hocolim:
     gr = grothendieck_poset(diagram)
     komplex = order_complex(gr)
     provenance = {v: v[0] for v in gr.elements}
-    return Hocolim(komplex, provenance)
+    return Hocolim(komplex, provenance, gr)
 
 
 def colim(diagram: InclusionDiagram) -> SimplicialComplex:

@@ -140,12 +140,16 @@ def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
 def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
     """The lattice-of-flats diagram whose space at p joins the copies of x
     selected by the immersion value at p."""
+    lat = im.matroid.lattice()
+    return _diagram(im, x, lat.flats, lat.covers())
+
+
+def _diagram(im: ImmersedMatroid, x: SimplicialComplex, flats, covers) -> InclusionDiagram:
+    """The diagram of ``build_diagram`` over ``flats``, ordered by ``covers``."""
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
-    lat = im.matroid.lattice()
-    poset = FinitePoset(lat.flats, lat.covers())
-    spaces = {f: copies_complex(x, im.immersion(f)) for f in lat.flats}
-    return InclusionDiagram(poset, spaces)
+    spaces = {f: copies_complex(x, im.immersion(f)) for f in flats}
+    return InclusionDiagram(FinitePoset(flats, covers), spaces)
 
 
 @dataclass
@@ -182,21 +186,23 @@ class Representation:
 
 
 def _t_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
-    """The diagram over the lattice minus its bottom, whose hocolim is T."""
+    """The diagram over the lattice minus its bottom, whose hocolim is T.
+
+    The flats other than the bottom form an up-set, so the lattice's
+    covers other than those of the bottom are exactly its covers.
+    """
     lat = im.matroid.lattice()
-    return build_diagram(im, x).restrict(f for f in lat.flats if f != lat.bottom)
+    flats = [f for f in lat.flats if f != lat.bottom]
+    return _diagram(im, x, flats, [(p, q) for p, q in lat.covers() if p != lat.bottom])
 
 
 def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
     """T, the hocolim over the lattice minus its bottom, and the covering
-    subcomplexes, each the full subcomplex of T over an atom's up-set."""
+    subcomplexes, each the full subcomplex of T over an atom's up-set,
+    built as the order complex of that up-set of the Grothendieck poset."""
     hc = hocolim(_t_diagram(im, x))
-    prov = hc.provenance
-    atoms = {
-        a: hc.complex.full_subcomplex(v for v, p in prov.items() if a <= p)
-        for a in im.matroid.lattice().atoms
-    }
-    return Representation(im, x, hc.complex, atoms, prov)
+    atoms = {a: hc.over_upset(lambda p: a <= p) for a in im.matroid.lattice().atoms}
+    return Representation(im, x, hc.complex, atoms, hc.provenance)
 
 
 def expected_betti(im: ImmersedMatroid, x: SimplicialComplex) -> BettiVector:

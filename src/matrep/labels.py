@@ -5,7 +5,10 @@ strings, tuples and frozensets, nested arbitrarily.  ``label_key`` is the
 one total order on them, so results are bit-identical across runs.  A
 simplicial complex keys its vertices once and sorts them; complexes cut
 from it inherit that order, and simplex orderings, boundary matrices and
-exports follow it without keying a vertex again.
+exports follow it without keying a vertex again.  Constructions hand their
+complexes and posets over already in this order: building T keys its
+flats and its template's vertices, never a vertex of T.  An export formats
+each distinct sub-label once (``label_formatter``).
 """
 
 from __future__ import annotations
@@ -31,18 +34,39 @@ def sort_labels(labels):
 
 
 def format_label(x) -> str:
-    """Deterministic readable string for a label (used by exports/reports).
+    """Deterministic readable string for a label (used by exports/reports)."""
+    return label_formatter()(x)
 
-    It is read off the label's key, whose frozensets are already sorted.
+
+def label_formatter():
+    """A ``format_label`` that formats each distinct sub-label once.
+
+    It keeps each sub-label's key and string, so formatting many labels
+    that share parts, such as the vertices of one complex, keys and formats
+    every part once; a frozenset's elements are joined in key order.
+    Entries are looked up by type as well as value, so ``1`` and ``True``
+    never share one, and ``True`` is refused as ``label_key`` refuses it.
     """
-    return _format_key(label_key(x))
+    known = {}
+
+    def entry(x):
+        found = known.get((type(x), x))
+        if found is None:
+            if isinstance(x, tuple):
+                found = _compound(2, [entry(e) for e in x], "(", ")")
+            elif isinstance(x, frozenset):
+                found = _compound(3, sorted(entry(e) for e in x), "{", "}")
+            else:
+                key = label_key(x)
+                found = (key, str(key[1]))
+            known[type(x), x] = found
+        return found
+
+    return lambda x: entry(x)[1]
 
 
-def _format_key(key) -> str:
-    kind, value = key
-    if kind == 0:
-        return str(value)
-    if kind == 1:
-        return value
-    inner = ",".join(_format_key(k) for k in value)
-    return f"({inner})" if kind == 2 else "{" + inner + "}"
+def _compound(kind, parts, left, right):
+    """Key and string of a tuple or frozenset from its parts' entries;
+    the parts' keys differ, so sorting them never compares strings."""
+    key = (kind, tuple(k for k, _ in parts))
+    return key, left + ",".join(s for _, s in parts) + right

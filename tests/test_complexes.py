@@ -28,6 +28,7 @@ from matrep.complexes import (
 )
 import matrep
 from matrep import linalg
+from matrep.labels import format_label, label_formatter
 
 from oracles import betti_by_gf_rank, gf_rank
 
@@ -282,3 +283,13 @@ def test_export_is_deterministic():
     a = iterated_join(sphere(0), 2).to_doc()
     b = iterated_join(sphere(0), 2).to_doc()
     assert a == b
+
+
+def test_label_formatter_keeps_ints_and_bools_apart():
+    fmt = label_formatter()
+    assert fmt(frozenset({(1, "a"), (0, frozenset({2, 1}))})) == "{(0,{1,2}),(1,a)}"
+    assert fmt(1) == "1" and fmt((1, "a")) == "(1,a)"
+    with pytest.raises(TypeError):
+        fmt(True)
+    with pytest.raises(TypeError):
+        format_label(True)

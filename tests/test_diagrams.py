@@ -8,6 +8,7 @@ from matrep.complexes import (
     SimplicialComplex,
     SimplicialMap,
     compose_matrices,
+    copies_complex,
     homology_map,
     reduced_betti,
     sphere,
@@ -166,6 +167,47 @@ def test_vertex_order_matches_label_key_sort(komplex, data):
     inclusion = SimplicialMap(sub, komplex, {v: v for v in sub.vertices})
     identity = homology_map(SimplicialMap.identity(komplex))
     assert homology_map(inclusion).matrices == compose_matrices(identity, homology_map(inclusion))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagram=random_inclusion_diagrams(), data=st.data())
+def test_trusted_grothendieck_poset_equals_checked_one(diagram, data):
+    """The Grothendieck poset is handed over sorted, as its covers; it must
+    equal the poset that FinitePoset sorts and closes from every pair, and
+    each of its up-set complexes the full subcomplex of its hocolim."""
+    reference = grothendieck_poset_by_definition(diagram)
+    gr = grothendieck_poset(diagram)
+    assert gr.elements == tuple(sort_labels(set(gr.elements)))
+    assert len(set(gr.covers())) == len(gr.covers())
+    assert set(gr.covers()) == covers_by_definition(reference)
+    assert all(gr.leq(a, b) == reference.leq(a, b) for a in gr.elements for b in gr.elements)
+    assert gr == reference and hash(gr) == hash(reference)
+
+    hc = hocolim(diagram)
+    assert hc.complex == SimplicialComplex(hc.complex.facets)
+    if diagram.poset.elements:
+        least = data.draw(st.sampled_from(diagram.poset.elements))
+        upset = diagram.poset.up_set(least)
+        sub = hc.over_upset(lambda p: p in upset)
+        cut = hc.complex.full_subcomplex(v for v in hc.complex.vertices if v[0] in upset)
+        assert sub == cut
+        assert sub._vertex_order() == cut._vertex_order()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poset=random_posets(),
+    x=nested_label_complexes(),
+    indices=st.sets(st.integers(min_value=0, max_value=4), max_size=3),
+)
+def test_trusted_complexes_equal_checked_ones(poset, x, indices):
+    """Order complexes and joins of copies keep their facets and vertex
+    order as built; both must be what the checking constructor and a
+    label_key sort make of the same facets."""
+    for komplex in (order_complex(poset), copies_complex(x, indices)):
+        assert komplex == SimplicialComplex(komplex.facets)
+        assert komplex.vertices == SimplicialComplex(komplex.facets).vertices
+        assert komplex._vertex_order() == tuple(sort_labels(komplex.vertices))
 
 
 def test_inclusion_diagram_validation():

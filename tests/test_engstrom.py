@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from matrep import labels
+from matrep import complexes, labels
 from matrep.catalog import (
     five_point_immersion,
     five_point_matroid,
@@ -171,7 +171,12 @@ def test_representation_equals_cut_from_whole_lattice():
 
         assert rep.T == cut(lambda p: p != lat.bottom), name
         for a in lat.atoms:
-            assert rep.atom_subcomplexes[a] == cut(lambda p: a <= p), name
+            sub = rep.atom_subcomplexes[a]
+            assert sub == cut(lambda p: a <= p), name
+            # built along the covers of its up-set, it must also be T's cut,
+            # vertex order included
+            t_cut = rep.T.full_subcomplex(v for v, p in rep.provenance.items() if a <= p)
+            assert sub == t_cut and sub._vertex_order() == t_cut._vertex_order(), name
         for f in lat.flats:
             if f != lat.bottom:
                 assert rep.upset_complex(f) == cut(lambda p: f <= p), name
@@ -213,6 +218,36 @@ def test_vertex_keys_are_not_recomputed(monkeypatch):
     assert calls == []
     rep.T.to_doc()
     assert 0 < len(calls) < len(rep.T.facets)
+
+
+def test_construction_route_trusts_what_it_knows(monkeypatch):
+    """Building T and its atom subcomplexes, its Betti numbers and its face
+    counts filter no facet list and key no vertex of T."""
+    im, x = immersed(uniform(4, 5), rho=4), sphere(0)
+    expected = expected_betti(im, x)
+    original_key, original_filter = labels.label_key, complexes._maximal_faces
+    keyed, filtered = [], []
+
+    def counting_key(label):
+        keyed.append(label)
+        return original_key(label)
+
+    def counting_filter(faces):
+        filtered.append(faces)
+        return original_filter(faces)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "matrep":
+            continue
+        if getattr(module, "label_key", None) is original_key:
+            monkeypatch.setattr(module, "label_key", counting_key)
+        if getattr(module, "_maximal_faces", None) is original_filter:
+            monkeypatch.setattr(module, "_maximal_faces", counting_filter)
+    rep = build_representation(im, x)
+    assert reduced_betti(rep.T) == expected
+    assert rep.T.face_counts()[0] == 230
+    assert filtered == []
+    assert keyed and not rep.T.vertices.intersection(keyed)
 
 
 def test_formula_agreement_all_instances():
