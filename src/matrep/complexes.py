@@ -240,25 +240,6 @@ def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
     return SimplicialComplex._known(facets, [(i, v) for i in idx for v in x._vertex_order()])
 
 
-def iterated_join(x: SimplicialComplex, d: int) -> SimplicialComplex:
-    """d-fold join of copies of x, vertices labeled (copy_index, vertex).
-
-    d = 0 yields the empty complex, the join unit.
-    """
-    if d < 0:
-        raise ValueError("join power must be >= 0")
-    return copies_complex(x, range(d))
-
-
-def suspension_iter(a: SimplicialComplex, k: int) -> SimplicialComplex:
-    """k-fold suspension: join with k two-point spheres."""
-    if k < 0:
-        raise ValueError("suspension power must be >= 0")
-    if k == 0:
-        return a
-    return join(a, iterated_join(sphere(0), k))
-
-
 def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if a.is_empty:
         return b
@@ -433,23 +414,6 @@ class SimplicialMap:
         return all(self.vertex_map[v] == v for v in self.vertex_map)
 
 
-def _permutation_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        cycle = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _rank(matrix) -> int:
     ncols = len(matrix[0]) if matrix else 0
     pairs = (({r: row[c] for r, row in enumerate(matrix) if row[c]}, {}) for c in range(ncols))
@@ -487,9 +451,9 @@ class HomologyMap:
                     imgs = [image_rank[r] for r in simplices[index]]
                     if len(set(imgs)) < len(imgs):
                         continue
-                    order = sorted(range(len(imgs)), key=imgs.__getitem__)
-                    t = tgt_index[tuple(imgs[i] for i in order)]
-                    image[t] = image.get(t, 0) + c * _permutation_sign(order)
+                    t = tgt_index[tuple(sorted(imgs))]
+                    inversions = sum(a > b for a, b in itertools.combinations(imgs, 2))
+                    image[t] = image.get(t, 0) + (-c if inversions % 2 else c)
                 image = {t: v for t, v in image.items() if v}
                 _, cycles = linalg.reduce_columns([(image, {})], pivots)
                 assert 0 in cycles, "image of a cycle is not a cycle"

@@ -245,9 +245,12 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
 
 @dataclass
 class Hocolim:
+    """The order complex of a diagram's Grothendieck poset, kept with that
+    poset.  Each vertex is a pair (p, simplex of D(p)), so its diagram
+    element is its first entry."""
+
     complex: SimplicialComplex
-    provenance: dict  # hocolim vertex -> poset element
-    poset: FinitePoset  # the Grothendieck poset whose order complex it is
+    poset: FinitePoset
 
     def over_upset(self, keep) -> SimplicialComplex:
         """The full subcomplex on the vertices (p, s) with ``keep(p)``,
@@ -265,9 +268,7 @@ class Hocolim:
 def hocolim(diagram: InclusionDiagram) -> Hocolim:
     """Combinatorial homotopy colimit: order complex of the Grothendieck poset."""
     gr = grothendieck_poset(diagram)
-    komplex = order_complex(gr)
-    provenance = {v: v[0] for v in gr.elements}
-    return Hocolim(komplex, provenance, gr)
+    return Hocolim(order_complex(gr), gr)
 
 
 def colim(diagram: InclusionDiagram) -> SimplicialComplex:

@@ -3,17 +3,21 @@
 The pipeline: a rank- and order-reversing immersion of the lattice of flats
 into a boolean lattice turns each flat into a join of copies of a template
 complex X; the homotopy colimit over the lattice (minus the bottom) is the
-representation T, covered by one subcomplex per atom.  Reduced Betti
-numbers of T are a weighted count of suspensions of join powers of X, with
-Whitney numbers of the first kind as weights, and weak maps of matroids
-induce simplicial maps between representations.
+representation T, covered by one subcomplex per atom.  Every subcomplex of
+T over an up-set of flats is read off the hocolim, as the order complex of
+the matching up-set of its Grothendieck poset.  Reduced Betti numbers of T
+are a weighted count of suspensions of join powers of X, with Whitney
+numbers of the first kind as weights; the formula side gets them by Betti
+arithmetic from those of X (the Kunneth formula for joins), building no
+complex.  Weak maps of matroids induce simplicial maps between
+representations.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import (
     BettiVector,
@@ -21,11 +25,9 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     copies_complex,
-    iterated_join,
     reduced_betti,
-    suspension_iter,
 )
-from .diagrams import DiagramMorphism, FinitePoset, InclusionDiagram, hocolim, induced_map
+from .diagrams import DiagramMorphism, FinitePoset, Hocolim, InclusionDiagram, hocolim, induced_map
 from .labels import label_key, sort_labels
 from .matroid import FlatMap, Matroid, MatroidError, SetMap, classify_map, induced_flat_map
 
@@ -154,22 +156,31 @@ def _diagram(im: ImmersedMatroid, x: SimplicialComplex, flats, covers) -> Inclus
 
 @dataclass
 class Representation:
-    """T with its atom subcomplexes, built over the lattice minus its bottom.
+    """T as the hocolim over the lattice minus its bottom.
 
-    ``provenance`` maps each vertex of T, a Grothendieck element (flat,
-    simplex), to its flat.  Y, the hocolim over the whole lattice, is built
-    only when it is first read.
+    Each vertex of T is a Grothendieck element (flat, simplex), so its flat
+    is its first entry.  The subcomplexes of T over up-sets of flats, the
+    atom subcomplexes among them, are built from the hocolim once per flat
+    when first read, and so is Y, the hocolim over the whole lattice.
     """
 
     immersed: ImmersedMatroid
     template: SimplicialComplex
-    T: SimplicialComplex
-    atom_subcomplexes: dict  # atom flat -> SimplicialComplex
-    provenance: dict  # vertex of T -> lattice flat
+    hocolim: Hocolim
+    _upsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def T(self) -> SimplicialComplex:
+        return self.hocolim.complex
 
     @property
     def lattice(self):
         return self.immersed.matroid.lattice()
+
+    @functools.cached_property
+    def atom_subcomplexes(self) -> dict:
+        """Atom flat -> the subcomplex of T over the atom's up-set."""
+        return {a: self.upset_complex(a) for a in self.lattice.atoms}
 
     @functools.cached_property
     def Y(self) -> SimplicialComplex:
@@ -178,11 +189,13 @@ class Representation:
         return hocolim(build_diagram(self.immersed, self.template)).complex
 
     def upset_complex(self, flat) -> SimplicialComplex:
-        """Subcomplex of T over the flats containing ``flat``; realizes
-        intersections of atom subcomplexes via provenance."""
+        """Subcomplex of T over the flats containing ``flat``, built once per
+        flat; it realizes the intersection of the atom subcomplexes of the
+        atoms below ``flat``."""
         flat = frozenset(flat)
-        keep = {v for v, p in self.provenance.items() if flat <= p}
-        return self.T.full_subcomplex(keep)
+        if flat not in self._upsets:
+            self._upsets[flat] = self.hocolim.over_upset(lambda p: flat <= p)
+        return self._upsets[flat]
 
 
 def _t_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
@@ -197,12 +210,23 @@ def _t_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
 
 
 def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
-    """T, the hocolim over the lattice minus its bottom, and the covering
-    subcomplexes, each the full subcomplex of T over an atom's up-set,
-    built as the order complex of that up-set of the Grothendieck poset."""
-    hc = hocolim(_t_diagram(im, x))
-    atoms = {a: hc.over_upset(lambda p: a <= p) for a in im.matroid.lattice().atoms}
-    return Representation(im, x, hc.complex, atoms, hc.provenance)
+    """T, the hocolim over the lattice minus its bottom; its covering
+    subcomplexes are built from it when first read."""
+    return Representation(im, x, hocolim(_t_diagram(im, x)))
+
+
+def _layer_betti(b: BettiVector, e: int, k: int) -> BettiVector:
+    """Betti numbers of the k-fold suspension of the e-fold join power of a
+    complex with Betti numbers ``b``.
+
+    The k-fold suspension of a space is its join with S^{k-1}, and S^{-1},
+    the empty complex, is the join unit; over a field the Betti numbers of
+    a join follow from those of its factors (Kunneth).
+    """
+    total = BettiVector({k - 1: 1})
+    for _ in range(e):
+        total = total.join_with(b)
+    return total
 
 
 def expected_betti(im: ImmersedMatroid, x: SimplicialComplex) -> BettiVector:
@@ -212,17 +236,17 @@ def expected_betti(im: ImmersedMatroid, x: SimplicialComplex) -> BettiVector:
     the (rho-i)-fold join power of x; reduced Betti numbers add over wedges.
     """
     w = im.matroid.lattice().whitney()
+    b = reduced_betti(x)
     total = BettiVector()
     for i in range(1, im.matroid.rank_total + 1):
         if w[i] == 0:
             continue
-        layer = suspension_iter(iterated_join(x, im.rho - i), i - 1)
-        total = total + reduced_betti(layer).scale(w[i])
+        total = total + _layer_betti(b, im.rho - i, i - 1).scale(w[i])
     return total
 
 
-def arrangement_flats(rep: Representation) -> FinitePoset:
-    """The intersection poset of the atom subcomplexes.
+def _closed_atom_sets(rep: Representation) -> set:
+    """The sets of atoms closed under intersecting atom subcomplexes.
 
     A set of atoms is closed when no further atom subcomplex contains the
     intersection of the chosen ones.  The empty set is always closed: its
@@ -240,24 +264,30 @@ def arrangement_flats(rep: Representation) -> FinitePoset:
                 meet = meet & vertex_sets[a]
             closure = frozenset(b for b in atoms if meet <= vertex_sets[b])
             closed.add(closure)
-    return FinitePoset.from_leq(closed, lambda s, t: s <= t)
+    return closed
+
+
+def arrangement_flats(rep: Representation) -> FinitePoset:
+    """The intersection poset of the atom subcomplexes: the closed sets of
+    atoms, ordered by containment."""
+    return FinitePoset.from_leq(_closed_atom_sets(rep), lambda s, t: s <= t)
 
 
 def arrangement_matches_lattice(rep: Representation) -> bool:
     """Whether the intersection poset is isomorphic to the lattice of flats,
     under atom-set <-> flat (join of the atoms, bottom for the empty set)."""
     lat = rep.lattice
-    poset = arrangement_flats(rep)
+    closed = _closed_atom_sets(rep)
     forward = {}
-    for s in poset.elements:
+    for s in closed:
         forward[s] = lat.join_all(s) if s else lat.bottom
     if sorted(forward.values(), key=label_key) != sorted(lat.flats, key=label_key):
         return False
     backward = {f: frozenset(lat.atoms_below(f)) for f in lat.flats}
-    if set(backward.values()) != set(poset.elements):
+    if set(backward.values()) != closed:
         return False
-    for s in poset.elements:
-        for t in poset.elements:
+    for s in closed:
+        for t in closed:
             if (s <= t) != (forward[s] <= forward[t]):
                 return False
     return True
@@ -381,10 +411,10 @@ def verify_strict_decrease(tau, im_m, im_n, x) -> bool:
         raise NotAdmissible("the weak map does not respect the immersions")
     betti_m = expected_betti(im_m, x)
     betti_n = expected_betti(im_n, x)
+    b = reduced_betti(x)
     flagged = set()
     for i in range(r_n + 1, r_m + 1):
-        layer = suspension_iter(iterated_join(x, im_m.rho - i), i - 1)
-        flagged.update(reduced_betti(layer).degrees())
+        flagged.update(_layer_betti(b, im_m.rho - i, i - 1).degrees())
     if not flagged:
         return True
     return all(betti_m[k] > betti_n[k] for k in flagged)
@@ -396,7 +426,7 @@ def verify_stability(im: ImmersedMatroid, x: SimplicialComplex) -> bool:
     r = im.matroid.rank_total
     rep_rho = build_representation(im, x)
     rep_r = build_representation(immersed(im.matroid), x)
-    extra = reduced_betti(iterated_join(x, im.rho - r))
+    extra = _layer_betti(reduced_betti(x), im.rho - r, 0)
     combined = extra.join_with(reduced_betti(rep_r.T))
     return reduced_betti(rep_rho.T) == combined
 
@@ -513,16 +543,15 @@ def verify_xarrangement(rep: Representation, x: SimplicialComplex) -> XArrangeme
     cuts an intersection down by exactly one more step."""
     lat = rep.lattice
     rho = rep.immersed.rho
-    powers = {e: iterated_join(x, e) for e in range(rho + 1)}
-    power_betti = {e: reduced_betti(k) for e, k in powers.items()}
+    b = reduced_betti(x)
+    power_betti = {e: _layer_betti(b, e, 0) for e in range(rho + 1)}
+    power_dim = {e: e * (x.dim + 1) - 1 for e in range(rho + 1)}
 
-    total_ok = (
-        reduced_betti(rep.Y) == power_betti[rho] and rep.Y.dim == powers[rho].dim
-    )
+    total_ok = reduced_betti(rep.Y) == power_betti[rho] and rep.Y.dim == power_dim[rho]
     atom_ok = {}
     for a, sub in rep.atom_subcomplexes.items():
         atom_ok[a] = (
-            reduced_betti(sub) == power_betti[rho - 1] and sub.dim == powers[rho - 1].dim
+            reduced_betti(sub) == power_betti[rho - 1] and sub.dim == power_dim[rho - 1]
         )
     inter_ok = {}
     upsets = {}
@@ -532,7 +561,7 @@ def verify_xarrangement(rep: Representation, x: SimplicialComplex) -> XArrangeme
         sub = rep.upset_complex(f)
         upsets[f] = sub
         e = rho - lat.rank_of[f]
-        inter_ok[f] = reduced_betti(sub) == power_betti[e] and sub.dim == powers[e].dim
+        inter_ok[f] = reduced_betti(sub) == power_betti[e] and sub.dim == power_dim[e]
     drops_ok = {}
     for f, sub in upsets.items():
         e = rho - lat.rank_of[f]

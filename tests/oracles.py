@@ -6,8 +6,10 @@ by signed chain counting, matrix ranks by a self-contained prime-field
 elimination, weak maps by the injective-preimage definition, maximal chains
 of a poset by enumerating its subsets, covers by testing every triple,
 Grothendieck posets by comparing every pair of elements, the exchange axiom
-on every two sizes, lattice covers by comparing every pair of flats, and
-simplex orders and exports by sorting every simplex through ``label_key``.
+on every two sizes, lattice covers by comparing every pair of flats,
+simplex orders and exports by sorting every simplex through ``label_key``,
+suspended join powers as built complexes rather than by Betti arithmetic,
+and matroids of GF(p) matrices by ranking every set of columns.
 """
 
 from __future__ import annotations
@@ -212,3 +214,26 @@ def to_doc_by_definition(komplex) -> dict:
         "vertices": [fmt(v) for v in sort_labels(komplex.vertices)],
         "facets": sorted(sorted(fmt(v) for v in f) for f in komplex.facets),
     }
+
+
+def layer_by_construction(x, e, k):
+    """The k-fold suspension of the e-fold join power of x, built: the
+    join of e copies of x with k copies of S^0."""
+    from matrep.complexes import copies_complex, join, sphere
+
+    return join(copies_complex(x, range(e)), copies_complex(sphere(0), range(k)))
+
+
+def matroid_of_columns(columns, p=2):
+    """The column matroid of a matrix over GF(p), columns given as tuples;
+    a set of columns is independent when its rank is its size."""
+    from matrep.matroid import Matroid
+
+    elements = list(range(1, len(columns) + 1))
+    independents = [
+        frozenset(combo)
+        for r in range(len(columns) + 1)
+        for combo in itertools.combinations(elements, r)
+        if gf_rank([dict(enumerate(columns[e - 1])) for e in combo], len(columns[0]), p) == r
+    ]
+    return Matroid(elements, independents)

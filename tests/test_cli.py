@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from matrep import cli
 from matrep.matroid import MAX_ELEMENTS
@@ -163,3 +164,13 @@ def test_verify_functoriality_notes_flat_map_mismatch(capsys):
     assert code == 0
     check = report["results"]["checks"][0]
     assert check["details"]["flat_maps_differ_at"] == [["3", "4"]]
+
+
+def test_verify_all_matches_golden(capsys):
+    # tests/data/verify_all.json holds the report of `matrep verify --all`
+    # with its timing removed; every other field must stay byte-identical
+    golden = Path(__file__).parent / "data" / "verify_all.json"
+    code, report = run_cli(capsys, "verify", "--all")
+    assert code == 0
+    report.pop("timing_ms")
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()

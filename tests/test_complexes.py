@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matrep.catalog import two_triangle_complex
@@ -18,19 +18,19 @@ from matrep.complexes import (
     boundary_columns,
     boundary_rows,
     compose_matrices,
+    copies_complex,
     disjoint_union,
     homology_map,
-    iterated_join,
     join,
     reduced_betti,
     sphere,
-    suspension_iter,
 )
 import matrep
 from matrep import linalg
+from matrep.engstrom import _layer_betti
 from matrep.labels import format_label, label_formatter
 
-from oracles import betti_by_gf_rank, gf_rank
+from oracles import betti_by_gf_rank, gf_rank, layer_by_construction
 
 
 def bv(counts):
@@ -69,24 +69,28 @@ def test_join_examples():
 
 
 def test_iterated_join():
-    assert reduced_betti(iterated_join(sphere(0), 2)) == bv({1: 1})
-    relabeled = iterated_join(two_triangle_complex(), 1)
+    assert reduced_betti(copies_complex(sphere(0), range(2))) == bv({1: 1})
+    relabeled = copies_complex(two_triangle_complex(), range(1))
     assert reduced_betti(relabeled) == bv({})
     assert len(relabeled.vertices) == 4
-    assert iterated_join(sphere(0), 0).is_empty
+    assert copies_complex(sphere(0), range(0)).is_empty
 
 
 def test_join_powers_are_spheres():
     for d in range(5):
         expected = bv({d - 1: 1})
-        assert reduced_betti(iterated_join(sphere(0), d)) == expected
+        assert reduced_betti(copies_complex(sphere(0), range(d))) == expected
 
 
 def test_suspension():
-    assert reduced_betti(suspension_iter(sphere(0), 1)) == bv({1: 1})
+    # the k-fold suspension is the join with k copies of S^0
+    def suspension(a, k):
+        return join(a, copies_complex(sphere(0), range(k)))
+
+    assert reduced_betti(suspension(sphere(0), 1)) == bv({1: 1})
     a = two_triangle_complex()
-    assert suspension_iter(a, 0) == a
-    assert reduced_betti(suspension_iter(SimplicialComplex.empty(), 2)) == bv({1: 1})
+    assert suspension(a, 0) == a
+    assert reduced_betti(suspension(SimplicialComplex.empty(), 2)) == bv({1: 1})
 
 
 def test_disjoint_union():
@@ -106,7 +110,7 @@ def test_betti_against_gf_oracle():
     instances = [
         sphere(1),
         join(sphere(0), sphere(1)),
-        iterated_join(sphere(0), 3),
+        copies_complex(sphere(0), range(3)),
         two_triangle_complex(),
         disjoint_union(sphere(1), sphere(0)),
     ]
@@ -118,7 +122,7 @@ def test_prime_field_fast_path_matches_rationals():
     """The kernel's rank over Q against the oracle's rank over GF(997)."""
     complexes = [
         sphere(2),
-        iterated_join(sphere(0), 3),
+        copies_complex(sphere(0), range(3)),
         join(sphere(1), sphere(0)),
         two_triangle_complex(),
     ]
@@ -220,6 +224,21 @@ def test_random_homology_maps_are_functorial(facets, kept):
     assert constant.is_injective() == (reduced_betti(komplex) == bv({}))
 
 
+@settings(max_examples=40, deadline=None)
+@given(facets=FACET_LISTS, e=st.integers(min_value=0, max_value=3), k=st.integers(min_value=0, max_value=2))
+def test_layer_betti_matches_construction(facets, e, k):
+    """The formula side's Betti arithmetic (Kunneth for joins) against the
+    suspended join power built as a complex and reduced."""
+    x = SimplicialComplex(facets)
+    assume(len(x.vertices) <= 5)
+    # keep the built layer small: its simplices are products of the factors'
+    assume((len(x.nonempty_simplices()) + 1) ** e * 3**k <= 10000)
+    layer = layer_by_construction(x, e, k)
+    assert _layer_betti(reduced_betti(x), e, k) == reduced_betti(layer)
+    assert e * (x.dim + 1) - 1 == layer_by_construction(x, e, 0).dim
+    assert layer.dim == e * (x.dim + 1) - 1 + k
+
+
 def test_betti_vector_arithmetic():
     a = bv({0: 1, 1: 2})
     b = bv({1: 1})
@@ -280,8 +299,8 @@ def test_export_round_trip():
 
 
 def test_export_is_deterministic():
-    a = iterated_join(sphere(0), 2).to_doc()
-    b = iterated_join(sphere(0), 2).to_doc()
+    a = copies_complex(sphere(0), range(2)).to_doc()
+    b = copies_complex(sphere(0), range(2)).to_doc()
     assert a == b
 
 

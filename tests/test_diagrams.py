@@ -242,7 +242,7 @@ def test_empty_spaces_contribute_nothing():
     d = InclusionDiagram(p, {0: sphere(0), 1: SimplicialComplex.empty()})
     hc = hocolim(d)
     assert reduced_betti(hc.complex) == bv({0: 1})
-    assert set(hc.provenance.values()) == {0}
+    assert {v[0] for v in hc.complex.vertices} == {0}
 
 
 def test_contrast_diagrams_betti():

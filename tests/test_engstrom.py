@@ -1,6 +1,8 @@
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matrep import complexes, labels
 from matrep.catalog import (
@@ -16,12 +18,12 @@ from matrep.complexes import (
     NotSimplicial,
     SimplicialComplex,
     SimplicialMap,
+    copies_complex,
     homology_map,
-    iterated_join,
     reduced_betti,
     sphere,
 )
-from matrep.diagrams import hocolim
+from matrep.diagrams import Hocolim, hocolim
 from matrep.engstrom import (
     GroupAction,
     ImmersedMatroid,
@@ -47,6 +49,8 @@ from matrep.engstrom import (
     verify_xarrangement,
 )
 from matrep.matroid import SetMap, uniform
+
+from oracles import matroid_of_columns
 
 
 def bv(counts):
@@ -132,7 +136,7 @@ def test_representation_shapes():
     # Y contracts onto the bottom space, a full join power
     for name, im, template in representation_instances()[:4]:
         rep = build_representation(im, template)
-        assert reduced_betti(rep.Y) == reduced_betti(iterated_join(template, im.rho))
+        assert reduced_betti(rep.Y) == reduced_betti(copies_complex(template, range(im.rho)))
 
 
 def test_atom_subcomplexes_cover_t():
@@ -167,7 +171,7 @@ def test_representation_equals_cut_from_whole_lattice():
         hc = hocolim(build_diagram(im, template))
 
         def cut(keep):
-            return hc.complex.full_subcomplex(v for v, p in hc.provenance.items() if keep(p))
+            return hc.complex.full_subcomplex(v for v in hc.complex.vertices if keep(v[0]))
 
         assert rep.T == cut(lambda p: p != lat.bottom), name
         for a in lat.atoms:
@@ -175,7 +179,7 @@ def test_representation_equals_cut_from_whole_lattice():
             assert sub == cut(lambda p: a <= p), name
             # built along the covers of its up-set, it must also be T's cut,
             # vertex order included
-            t_cut = rep.T.full_subcomplex(v for v, p in rep.provenance.items() if a <= p)
+            t_cut = rep.T.full_subcomplex(v for v in rep.T.vertices if a <= v[0])
             assert sub == t_cut and sub._vertex_order() == t_cut._vertex_order(), name
         for f in lat.flats:
             if f != lat.bottom:
@@ -246,8 +250,56 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
     rep = build_representation(im, x)
     assert reduced_betti(rep.T) == expected
     assert rep.T.face_counts()[0] == 230
+    # the atom subcomplexes are built on first read, each as its up-set's
+    for a, sub in rep.atom_subcomplexes.items():
+        assert sub is rep.upset_complex(a)
+        reduced_betti(sub)
+    for f in rep.lattice.flats:
+        reduced_betti(rep.upset_complex(f))
     assert filtered == []
     assert keyed and not rep.T.vertices.intersection(keyed)
+
+
+def count_reductions(monkeypatch) -> list:
+    """The complexes whose homology is reduced from here on, in order."""
+    original = complexes._reduction
+    reduced = []
+
+    def counting(komplex):
+        if komplex._reduction is None:
+            reduced.append(komplex)
+        return original(komplex)
+
+    monkeypatch.setattr(complexes, "_reduction", counting)
+    return reduced
+
+
+def test_expected_betti_reduces_only_the_template(monkeypatch):
+    x = sphere(1)
+    reduced = count_reductions(monkeypatch)
+    assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
+    assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
+    assert reduced == [x]
+
+
+def test_xarrangement_builds_each_upset_complex_once(monkeypatch):
+    im, x = immersed(uniform(4, 5), rho=4), sphere(0)
+    rep = build_representation(im, x)
+    original = Hocolim.over_upset
+    built = []
+
+    def counting(self, keep):
+        built.append(original(self, keep))
+        return built[-1]
+
+    monkeypatch.setattr(Hocolim, "over_upset", counting)
+    reduced = count_reductions(monkeypatch)
+    assert verify_xarrangement(rep, x).all_pass
+    upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
+    # x once, Y once and each up-set complex once
+    assert len(reduced) == len(upper_flats) + 2 == 28
+    assert len(built) == len(upper_flats)
+    assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
 
 
 def test_formula_agreement_all_instances():
@@ -281,6 +333,25 @@ def test_arrangement_flats_poset():
     assert arrangement_matches_lattice(rep)
     single = build_representation(immersed(uniform(1, 1)), sphere(0))
     assert len(arrangement_flats(single).elements) == 2
+
+
+GF2_COLUMNS = st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * 3), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns=GF2_COLUMNS)
+def test_random_gf2_matroids_construction_equals_formula(columns):
+    """Column matroids of random GF(2) matrices of rank 1 to 3, with loops
+    and parallel columns, at their canonical immersion over S^0."""
+    m = matroid_of_columns(columns, p=2)
+    # rank 0 leaves T empty, a case the wedge formula does not cover
+    assume(m.rank_total >= 1)
+    im, x = immersed(m), sphere(0)
+    rep = build_representation(im, x)
+    assert reduced_betti(rep.T) == expected_betti(im, x)
+    assert arrangement_matches_lattice(rep)
 
 
 def test_arrangement_matches_lattice_catalog():
@@ -499,4 +570,4 @@ def test_colim_agrees_with_hocolim_on_full_lattice_diagrams():
         diagram = build_diagram(im, template)
         left = reduced_betti(colim(diagram))
         right = reduced_betti(hocolim(diagram).complex)
-        assert left == right == reduced_betti(iterated_join(template, im.rho)), name
+        assert left == right == reduced_betti(copies_complex(template, range(im.rho))), name
