@@ -26,7 +26,6 @@ label-disjoint and otherwise relabel both sides with namespace tuples
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .labels import label_formatter, sort_labels
 from . import linalg
@@ -423,10 +422,12 @@ def _rank(matrix) -> int:
 class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
-    Bases are canonical per complex, so matrices of different maps between
-    the same complexes can be compared and multiplied entrywise.  Column j
-    of a matrix holds the coordinates of the image of the j-th source
-    representative, found by reducing it against the target's pivots.
+    Entries are the kernel's exact values: ints, or ``Fraction``s where a
+    pivot is not +-1.  Bases are canonical per complex, so matrices of
+    different maps between the same complexes can be compared and
+    multiplied entrywise.  Column j of a matrix holds the coordinates of
+    the image of the j-th source representative, found by reducing it
+    against the target's pivots.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -458,7 +459,7 @@ class HomologyMap:
                 _, cycles = linalg.reduce_columns([(image, {})], pivots)
                 assert 0 in cycles, "image of a cycle is not a cycle"
                 cols.append(cycles[0])
-            self.matrices[k] = [[Fraction(-col.get(r, 0)) for col in cols] for r in sorted(tgt_reps)]
+            self.matrices[k] = [[-col.get(r, 0) for col in cols] for r in sorted(tgt_reps)]
 
     def degrees(self):
         return sorted(k for k in self.matrices)
@@ -489,7 +490,7 @@ def compose_matrices(outer: HomologyMap, inner: HomologyMap) -> dict:
         cols = inner.source_betti[k]
         # an empty middle homology group gives zero sums: the composite is zero
         out[k] = [
-            [sum((row[j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(cols)]
+            [sum(row[j] * b[j][c] for j in range(len(b))) for c in range(cols)]
             for row in a
         ]
     return out

@@ -25,9 +25,10 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     copies_complex,
+    homology_map,
     reduced_betti,
 )
-from .diagrams import DiagramMorphism, FinitePoset, Hocolim, InclusionDiagram, hocolim, induced_map
+from .diagrams import FinitePoset, Hocolim, InclusionDiagram, hocolim
 from .labels import label_key, sort_labels
 from .matroid import FlatMap, Matroid, MatroidError, SetMap, classify_map, induced_flat_map
 
@@ -135,8 +136,13 @@ def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
     """Whether l(p) is contained in l'(tau#(p)) for every flat p."""
     if l.rho != l_prime.rho:
         raise InvalidImmersion("immersions must share rho")
-    flat_map = induced_flat_map(tau)
-    return all(l(p) <= l_prime(flat_map(p)) for p in l.matroid.lattice().flats)
+    return _inadmissible_flat(l, l_prime, induced_flat_map(tau)) is None
+
+
+def _inadmissible_flat(l: Immersion, l_prime: Immersion, g: FlatMap):
+    """The first flat p, in lattice order, with l(p) not contained in
+    l'(g(p)), or None when there is none."""
+    return next((p for p in g.source_lattice.flats if not l(p) <= l_prime(g(p))), None)
 
 
 def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
@@ -198,21 +204,17 @@ class Representation:
         return self._upsets[flat]
 
 
-def _t_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
-    """The diagram over the lattice minus its bottom, whose hocolim is T.
+def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
+    """T, the hocolim over the lattice minus its bottom; its covering
+    subcomplexes are built from it when first read.
 
     The flats other than the bottom form an up-set, so the lattice's
     covers other than those of the bottom are exactly its covers.
     """
     lat = im.matroid.lattice()
     flats = [f for f in lat.flats if f != lat.bottom]
-    return _diagram(im, x, flats, [(p, q) for p, q in lat.covers() if p != lat.bottom])
-
-
-def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
-    """T, the hocolim over the lattice minus its bottom; its covering
-    subcomplexes are built from it when first read."""
-    return Representation(im, x, hocolim(_t_diagram(im, x)))
+    covers = [(p, q) for p, q in lat.covers() if p != lat.bottom]
+    return Representation(im, x, hocolim(_diagram(im, x, flats, covers)))
 
 
 def _layer_betti(b: BettiVector, e: int, k: int) -> BettiVector:
@@ -234,7 +236,11 @@ def expected_betti(im: ImmersedMatroid, x: SimplicialComplex) -> BettiVector:
 
     The rank-i layer contributes w_i copies of the (i-1)-fold suspension of
     the (rho-i)-fold join power of x; reduced Betti numbers add over wedges.
+    A rank-0 matroid has no atoms and no layer, and T is the empty complex,
+    S^{-1}, whose one reduced Betti number is 1 in degree -1.
     """
+    if im.matroid.rank_total == 0:
+        return BettiVector({-1: 1})
     w = im.matroid.lattice().whitney()
     b = reduced_betti(x)
     total = BettiVector()
@@ -300,7 +306,11 @@ def reroute_annihilating(tau: SetMap) -> FlatMap:
     smallest atom in the image; the rest of the lattice map is rebuilt as
     the join of the patched atom values, which keeps it order-preserving.
     """
-    base = induced_flat_map(tau)
+    return _reroute(induced_flat_map(tau))
+
+
+def _reroute(base: FlatMap) -> FlatMap:
+    """``reroute_annihilating`` on the flat map of a weak map."""
     src_lat = base.source_lattice
     tgt_lat = base.target_lattice
     image_atoms = sorted(
@@ -329,15 +339,6 @@ def reroute_annihilating(tau: SetMap) -> FlatMap:
     return rerouted
 
 
-def _representation_flat_map(tau: SetMap) -> FlatMap:
-    cls = classify_map(tau)
-    if not cls.is_weak:
-        raise MatroidError("representation maps are induced by weak maps")
-    if cls.is_non_annihilating:
-        return induced_flat_map(tau)
-    return reroute_annihilating(tau)
-
-
 def induced_representation_map(
     tau: SetMap,
     im_m: ImmersedMatroid,
@@ -348,9 +349,12 @@ def induced_representation_map(
 ) -> SimplicialMap:
     """The simplicial map T_x(M, l) -> T_y(N, l') induced by a weak map.
 
-    Components include each selected copy of x into the copies selected at
-    the image flat and apply f_x diagonally; annihilating maps are rerouted
-    first so the image stays inside the target representation.
+    A vertex (p, s) of T_x(M, l), s a simplex of the copies of x at the
+    flat p, goes to (g(p), {(i, f_x(v)) : (i, v) in s}), where g is the
+    flat map of tau, rerouted first if it sends an atom to the bottom
+    (``reroute_annihilating``).  The one check, that this vertex map is
+    simplicial into T_y(N, l'), refuses any image that is not a vertex
+    there, such as one over the bottom.
     """
     if y_complex is None:
         y_complex = x
@@ -361,32 +365,23 @@ def induced_representation_map(
     l, lp = im_m.immersion, im_n.immersion
     if l.rho != lp.rho:
         raise NotAdmissible("immersions must share rho")
-    if not is_admissible(tau, l, lp):
+    g = induced_flat_map(tau)
+    if _inadmissible_flat(l, lp, g) is not None:
         raise NotAdmissible("the weak map does not respect the immersions")
-    g = _representation_flat_map(tau)
-    src_lat = im_m.matroid.lattice()
-    for p in src_lat.flats:
-        if p != src_lat.bottom and not l(p) <= lp(g(p)):
+    if any(g.target_lattice.rank_of[g(a)] != 1 for a in g.source_lattice.atoms):
+        g = _reroute(g)
+        p = _inadmissible_flat(l, lp, g)
+        if p is not None:
             raise NotAdmissible(f"rerouted image violates the immersions at {set(p)}")
-
-    d_m = _t_diagram(im_m, x)
-    d_n = _t_diagram(im_n, y_complex)
-    poset_map = {p: g(p) for p in d_m.poset.elements}
-    components = {}
-    for p in d_m.poset.elements:
-        source_space = d_m.space(p)
-        target_space = d_n.space(poset_map[p])
-        vm = {(i, v): (i, f_x(v)) for (i, v) in source_space.vertices}
-        components[p] = SimplicialMap(source_space, target_space, vm)
-    morphism = DiagramMorphism(d_m, d_n, poset_map, components)
-    return induced_map(morphism)
+    source = build_representation(im_m, x).T
+    target = build_representation(im_n, y_complex).T
+    vertex_map = {(p, s): (g(p), frozenset((i, f_x(v)) for i, v in s)) for p, s in source.vertices}
+    return SimplicialMap(source, target, vertex_map)
 
 
 def verify_surjectivity(tau, im_m, im_n, x) -> bool:
     """Surjective admissible weak maps give surjections in homology, hence
     componentwise Betti decrease."""
-    from .complexes import homology_map
-
     cls = classify_map(tau)
     if not cls.is_weak or not cls.is_surjective:
         raise MatroidError("needs a surjective weak map")
@@ -471,22 +466,18 @@ class GroupAction:
 
 
 def _check_simplicial_and_free(komplex: SimplicialComplex, perm):
-    simplices = sorted(komplex.nonempty_simplices(), key=label_key)
-    universe = set(komplex.nonempty_simplices())
-    for s in simplices:
-        if frozenset(perm[v] for v in s) not in universe:
-            raise NotSimplicial(f"permutation breaks simplex {sort_labels(s)}")
-    for s in simplices:
-        if frozenset(perm[v] for v in s) == s:
-            raise NotFree(f"permutation fixes simplex {sort_labels(s)} setwise")
-
-
-def _extend_perm(perm):
-    def lifted(vertex):
-        p, s = vertex
-        return (p, frozenset((i, perm[v]) for (i, v) in s))
-
-    return lifted
+    """Raise NotSimplicial if the vertex map ``perm`` sends a simplex of the
+    complex outside it, and otherwise NotFree if it fixes one setwise; the
+    message names the first such simplex in the complex's order."""
+    simplices = [s for k, ss in komplex.simplices_by_dim().items() if k >= 0 for s in ss]
+    images = [frozenset(map(perm.__getitem__, s)) for s in simplices]
+    universe = komplex.nonempty_simplices()
+    for s, image in zip(simplices, images):
+        if image not in universe:
+            raise NotSimplicial(f"permutation breaks simplex {list(s)}")
+    for s, image in zip(simplices, images):
+        if image == frozenset(s):
+            raise NotFree(f"permutation fixes simplex {list(s)} setwise")
 
 
 def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
@@ -494,24 +485,21 @@ def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     stay simplicial and free there, and the induced map must commute with
     it on vertices.  Simpliciality and freeness are checked on Y, the
     hocolim over the whole lattice, of which T and every atom intersection
-    are full subcomplexes."""
+    are full subcomplexes, by ``_check_simplicial_and_free``, the routine
+    that checks the action on x in ``GroupAction``."""
     if action.complex != x:
         raise ValueError("action must act on the template complex")
     ys = [hocolim(build_diagram(im, x)).complex for im in (im_m, im_n)]
     rmap = induced_representation_map(tau, im_m, im_n, x)
     for perm in action.nonidentity_elements():
-        lifted = _extend_perm(perm)
+        lifts = []
         for y in ys:
-            simplices = y.nonempty_simplices()
-            for s in simplices:
-                image = frozenset(lifted(v) for v in s)
-                if image not in simplices:
-                    raise NotSimplicial("extended action breaks a simplex")
-                if image == s:
-                    raise NotFree("extended action fixes a simplex setwise")
-        for v in rmap.source.vertices:
-            if rmap.vertex_map[lifted(v)] != lifted(rmap.vertex_map[v]):
-                return False
+            lift = {(p, s): (p, frozenset((i, perm[v]) for i, v in s)) for p, s in y.vertices}
+            _check_simplicial_and_free(y, lift)
+            lifts.append(lift)
+        lift_m, lift_n = lifts
+        if any(rmap(lift_m[v]) != lift_n[rmap(v)] for v in rmap.source.vertices):
+            return False
     return True
 
 

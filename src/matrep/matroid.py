@@ -2,8 +2,8 @@
 
 A matroid is stored as its full family of independent sets; ranks of all
 subsets are tabulated once by a subset-lattice DP over bitmasks, so rank
-and closure queries are cheap.  Desk scale is small ground sets (n <= 10),
-where exactness beats cleverness.
+and closure queries are cheap.  Desk scale is small ground sets (n <= 12,
+``MAX_ELEMENTS``), where exactness beats cleverness.
 
 Maps between matroids follow the usual zero-element convention: every
 ground set is silently extended by the reserved label "o", maps send o to
@@ -20,7 +20,10 @@ from .labels import label_key, sort_labels
 
 ZERO = "o"
 
-# U6,12 builds in about 2 s: validation pairs up independent sets of consecutive sizes
+# At the cap, U6,12 builds in about 2.3 s (validation pairs up independent
+# sets of consecutive sizes) and its lattice takes about 7.3 s more, almost
+# all in the pairwise check of GeometricLattice._check_geometric: `matrep
+# info U6,12` runs about 9.5 s wall on one core of an Intel Xeon server
 MAX_ELEMENTS = 12
 
 

@@ -9,7 +9,8 @@ Grothendieck posets by comparing every pair of elements, the exchange axiom
 on every two sizes, lattice covers by comparing every pair of flats,
 simplex orders and exports by sorting every simplex through ``label_key``,
 suspended join powers as built complexes rather than by Betti arithmetic,
-and matroids of GF(p) matrices by ranking every set of columns.
+matroids of GF(p) matrices by ranking every set of columns, and induced
+representation maps through a morphism of diagrams.
 """
 
 from __future__ import annotations
@@ -237,3 +238,40 @@ def matroid_of_columns(columns, p=2):
         if gf_rank([dict(enumerate(columns[e - 1])) for e in combo], len(columns[0]), p) == r
     ]
     return Matroid(elements, independents)
+
+
+def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
+    """The map T_x(M) -> T_y(N) induced by a weak map, as the map of
+    hocolims of a diagram morphism: the diagrams of both sides restricted
+    to the flats other than the bottom, the flat map of tau (rerouted when
+    it annihilates an atom) on the posets, and f_x applied copywise as one
+    checked simplicial map per flat."""
+    from matrep.complexes import SimplicialMap
+    from matrep.diagrams import DiagramMorphism, induced_map
+    from matrep.engstrom import (
+        NotAdmissible,
+        build_diagram,
+        is_admissible,
+        reroute_annihilating,
+    )
+    from matrep.matroid import classify_map, induced_flat_map
+
+    l, lp = im_m.immersion, im_n.immersion
+    if l.rho != lp.rho or not is_admissible(tau, l, lp):
+        raise NotAdmissible("the weak map does not respect the immersions")
+    if classify_map(tau).is_non_annihilating:
+        g = induced_flat_map(tau)
+    else:
+        g = reroute_annihilating(tau)
+    lat_m, lat_n = im_m.matroid.lattice(), im_n.matroid.lattice()
+    if any(not l(p) <= lp(g(p)) for p in lat_m.flats if p != lat_m.bottom):
+        raise NotAdmissible("the rerouted image violates the immersions")
+    d_m = build_diagram(im_m, x).restrict(p for p in lat_m.flats if p != lat_m.bottom)
+    d_n = build_diagram(im_n, y).restrict(p for p in lat_n.flats if p != lat_n.bottom)
+    components = {}
+    for p in d_m.poset.elements:
+        space = d_m.space(p)
+        vertex_map = {(i, v): (i, f_x(v)) for i, v in space.vertices}
+        components[p] = SimplicialMap(space, d_n.space(g(p)), vertex_map)
+    poset_map = {p: g(p) for p in d_m.poset.elements}
+    return induced_map(DiagramMorphism(d_m, d_n, poset_map, components))

@@ -141,6 +141,16 @@ def test_represent_with_custom_template(tmp_path, capsys):
     assert report["results"]["agreement"] is True
 
 
+def test_represent_rank_zero_matroid(tmp_path, capsys):
+    # every element a loop: no atoms, so T is the empty complex S^{-1}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"elements": ["1"], "independents": [[]]}))
+    code, report = run_cli(capsys, "represent", str(path), "S0")
+    assert code == 0
+    assert report["results"]["agreement"] is True
+    assert report["results"]["betti_constructed"] == {"-1": 1}
+
+
 def test_truncate_command(tmp_path, capsys):
     out = tmp_path / "trunc.json"
     code, report = run_cli(capsys, "truncate", "U3,4", "1", "--out", str(out))

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matrep import complexes, labels
@@ -27,6 +27,7 @@ from matrep.diagrams import Hocolim, hocolim
 from matrep.engstrom import (
     GroupAction,
     ImmersedMatroid,
+    Immersion,
     InvalidImmersion,
     NoAtomInImage,
     NotAdmissible,
@@ -48,9 +49,9 @@ from matrep.engstrom import (
     verify_surjectivity,
     verify_xarrangement,
 )
-from matrep.matroid import SetMap, uniform
+from matrep.matroid import SetMap, classify_map, uniform
 
-from oracles import matroid_of_columns
+from oracles import induced_map_by_morphism, matroid_of_columns
 
 
 def bv(counts):
@@ -343,11 +344,9 @@ GF2_COLUMNS = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(columns=GF2_COLUMNS)
 def test_random_gf2_matroids_construction_equals_formula(columns):
-    """Column matroids of random GF(2) matrices of rank 1 to 3, with loops
+    """Column matroids of random GF(2) matrices of rank 0 to 3, with loops
     and parallel columns, at their canonical immersion over S^0."""
     m = matroid_of_columns(columns, p=2)
-    # rank 0 leaves T empty, a case the wedge formula does not cover
-    assume(m.rank_total >= 1)
     im, x = immersed(m), sphere(0)
     rep = build_representation(im, x)
     assert reduced_betti(rep.T) == expected_betti(im, x)
@@ -446,6 +445,113 @@ def test_induced_map_with_template_map():
     # two 0-spheres; the image of H_0 stays inside H_0
     assert hm.source_betti == bv({0: 5})
     assert hm.target_betti == bv({0: 2, 1: 3})
+
+
+NONZERO_GF2_PAIR = st.sampled_from([(1, 0), (0, 1), (1, 1)])
+BIT = st.integers(min_value=0, max_value=1)
+
+
+def reversed_immersion(immersion):
+    """The immersion i -> rho + 1 - i of ``immersion``, also rank- and
+    order-reversing; against a canonical one it is rarely admissible."""
+    rho = immersion.rho
+    return Immersion.from_dict(
+        immersion.matroid,
+        rho,
+        {f: frozenset(rho + 1 - i for i in s) for f, s in immersion.as_dict().items()},
+    )
+
+
+@st.composite
+def weak_map_instances(draw):
+    """A weak map tau: M -> N, immersions of M and N at one rho, either
+    canonical or reversed, and an injective template map f_x: x -> y,
+    S0 -> S0, S1 -> S1 or S0 -> S1.  Over S1 the ranks stay at most 2."""
+    s0, s1 = sphere(0), sphere(1)
+    x, y = draw(st.sampled_from([(s0, s0), (s0, s0), (s1, s1), (s0, s1)]))
+    small = y == s1
+    if draw(st.booleans()):
+        # every set map U(r, n) -> U(r', n') with r' <= r is weak
+        n = draw(st.integers(1, 3 if small else 4))
+        r = draw(st.integers(1, min(n, 2 if small else 3)))
+        n_prime = draw(st.integers(1, 3))
+        top = min(r, n_prime)
+        m, t = uniform(r, n), uniform(top - draw(st.integers(0, top)), n_prime)
+        values = list(t.elements) + ["o"]
+        assignment = {e: draw(st.sampled_from(values)) for e in m.elements}
+    else:
+        # M's columns are N's columns pulled back along the map, o to the
+        # zero column, plus an extra bit over S0: ranks can only drop
+        target = draw(st.lists(NONZERO_GF2_PAIR, min_size=1, max_size=3))
+        pulled = draw(st.lists(st.integers(0, len(target)), min_size=1, max_size=4))
+        columns = [
+            (target[j] if j < len(target) else (0, 0)) + (() if small else (draw(BIT),))
+            for j in pulled
+        ]
+        m, t = matroid_of_columns(columns), matroid_of_columns(target)
+        assignment = {e: j + 1 if j < len(target) else "o" for e, j in zip(m.elements, pulled)}
+    rho = max(m.rank_total, t.rank_total) + 1 - draw(st.integers(0, 1))
+    l, l_prime = canonical_immersion(m, rho), canonical_immersion(t, rho)
+    if draw(st.booleans()):
+        l = reversed_immersion(l)
+    if draw(st.booleans()):
+        l_prime = reversed_immersion(l_prime)
+    # an injective vertex map from S0 or S1 into S1, or from S0 to S0, is simplicial
+    images = draw(st.permutations(sorted(y.vertices)))
+    f_x = SimplicialMap(x, y, dict(zip(sorted(x.vertices), images)))
+    return SetMap(m, t, assignment), ImmersedMatroid(m, l), ImmersedMatroid(t, l_prime), x, y, f_x
+
+
+def _outcome(route, *args):
+    """The vertex map and homology matrices of a route's map, or the type
+    of the refusal."""
+    try:
+        rmap = route(*args)
+    except (NotAdmissible, NoAtomInImage) as refusal:
+        return type(refusal)
+    return rmap.vertex_map, homology_map(rmap).matrices
+
+
+def rerouted_past_the_immersion():
+    """A weak map whose rerouted flat map raises the rank of a line: the
+    atom {4} of the line {2, 3, 4} goes to the bottom and is rerouted to
+    {1}, so the line goes to the rank-3 top, outside the immersion."""
+    m = matroid_of_columns([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    n = matroid_of_columns([(0, 0, 1), (1, 0, 0), (0, 1, 0)])
+    s0 = sphere(0)
+    tau = SetMap(m, n, {1: 1, 2: 2, 3: 3, 4: "o"})
+    return tau, immersed(m), immersed(n), s0, s0, SimplicialMap.identity(s0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=weak_map_instances())
+@example(instance=rerouted_past_the_immersion())
+def test_induced_map_agrees_with_diagram_morphism_route(instance):
+    """Reading the map off T gives the vertex map, homology matrices and
+    refusals of the map of hocolims of a diagram morphism."""
+    assert classify_map(instance[0]).is_weak
+    assert _outcome(induced_representation_map, *instance) == _outcome(
+        induced_map_by_morphism, *instance
+    )
+
+
+@pytest.mark.parametrize("assignment", [{1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: "o"}])
+def test_induced_map_classifies_tau_once(monkeypatch, assignment):
+    from matrep import engstrom, matroid
+
+    calls = []
+    original = matroid.classify_map
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(matroid, "classify_map", counting)
+    monkeypatch.setattr(engstrom, "classify_map", counting)
+    m = uniform(2, 3)
+    tau = SetMap(m, m, assignment)
+    induced_representation_map(tau, immersed(m), immersed(m), sphere(0))
+    assert len(calls) == 1
 
 
 def test_strict_decrease():
