@@ -26,6 +26,7 @@ label-disjoint and otherwise relabel both sides with namespace tuples
 from __future__ import annotations
 
 import itertools
+import types
 
 from .labels import label_formatter, sort_labels
 from . import linalg
@@ -333,6 +334,11 @@ def boundary_rows(komplex: SimplicialComplex, k: int):
     return rows, len(columns)
 
 
+# The tracked part of every boundary pivot in a reduction table; elimination
+# only reads a pivot's parts, so one read-only mapping serves them all.
+_UNTRACKED = types.MappingProxyType({})
+
+
 def _reduction(komplex: SimplicialComplex) -> dict:
     """Degree -> (pivots, cycles) of the complex, computed once per object.
 
@@ -355,7 +361,7 @@ def _reduction(komplex: SimplicialComplex) -> dict:
         for k in range(komplex.dim, -2, -1):
             pairs = ((column, {j: 1}) for j, column in enumerate(boundary_columns(komplex, k)))
             pivots, cycles = linalg.reduce_columns(pairs, cleared=above)
-            table = {row: (column, {}) for row, (column, _) in above.items()}
+            table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
             table.update((j, (z, {j: 1})) for j, z in cycles.items())
             data[k] = (table, cycles)
             above = pivots

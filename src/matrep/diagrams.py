@@ -195,6 +195,11 @@ class InclusionDiagram:
     def space(self, p) -> SimplicialComplex:
         return self.space_at[p]
 
+    @functools.cached_property
+    def _hocolim(self) -> "Hocolim":
+        gr = grothendieck_poset(self)
+        return Hocolim(order_complex(gr), gr)
+
     def restrict(self, subset) -> "InclusionDiagram":
         keep = set(subset)
         return InclusionDiagram(
@@ -266,9 +271,13 @@ class Hocolim:
 
 
 def hocolim(diagram: InclusionDiagram) -> Hocolim:
-    """Combinatorial homotopy colimit: order complex of the Grothendieck poset."""
-    gr = grothendieck_poset(diagram)
-    return Hocolim(order_complex(gr), gr)
+    """Combinatorial homotopy colimit: order complex of the Grothendieck poset.
+
+    It is computed once per diagram and kept on it, since a diagram is not
+    mutated after construction; maps between the same diagrams then share
+    their hocolims and the homology reductions cached on them.
+    """
+    return diagram._hocolim
 
 
 def colim(diagram: InclusionDiagram) -> SimplicialComplex:

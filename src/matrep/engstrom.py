@@ -30,7 +30,7 @@ from .complexes import (
 )
 from .diagrams import FinitePoset, Hocolim, InclusionDiagram, hocolim
 from .labels import label_key, sort_labels
-from .matroid import FlatMap, Matroid, MatroidError, SetMap, classify_map, induced_flat_map
+from .matroid import FlatMap, Matroid, MatroidError, SetMap, induced_flat_map
 
 
 class InvalidImmersion(ValueError):
@@ -362,19 +362,26 @@ def induced_representation_map(
         f_x = SimplicialMap.identity(x)
     if f_x.source != x or f_x.target != y_complex:
         raise ValueError("f_x must map the source template to the target template")
-    l, lp = im_m.immersion, im_n.immersion
-    if l.rho != lp.rho:
+    source = build_representation(im_m, x).T
+    target = build_representation(im_n, y_complex).T
+    return _representation_map(tau, im_m.immersion, im_n.immersion, source, target, f_x)
+
+
+def _representation_map(tau, l, l_prime, source, target, f_x) -> SimplicialMap:
+    """The map of ``induced_representation_map``, written on the given T's:
+    the flat map g of tau is derived once (one ``classify_map`` call),
+    refused unless admissible, rerouted if it annihilates an atom, and the
+    vertex map is checked by one ``SimplicialMap``."""
+    if l.rho != l_prime.rho:
         raise NotAdmissible("immersions must share rho")
     g = induced_flat_map(tau)
-    if _inadmissible_flat(l, lp, g) is not None:
+    if _inadmissible_flat(l, l_prime, g) is not None:
         raise NotAdmissible("the weak map does not respect the immersions")
     if any(g.target_lattice.rank_of[g(a)] != 1 for a in g.source_lattice.atoms):
         g = _reroute(g)
-        p = _inadmissible_flat(l, lp, g)
+        p = _inadmissible_flat(l, l_prime, g)
         if p is not None:
             raise NotAdmissible(f"rerouted image violates the immersions at {set(p)}")
-    source = build_representation(im_m, x).T
-    target = build_representation(im_n, y_complex).T
     vertex_map = {(p, s): (g(p), frozenset((i, f_x(v)) for i, v in s)) for p, s in source.vertices}
     return SimplicialMap(source, target, vertex_map)
 
@@ -382,11 +389,9 @@ def induced_representation_map(
 def verify_surjectivity(tau, im_m, im_n, x) -> bool:
     """Surjective admissible weak maps give surjections in homology, hence
     componentwise Betti decrease."""
-    cls = classify_map(tau)
-    if not cls.is_weak or not cls.is_surjective:
+    if not tau.is_surjective():  # the induced map refuses a map that is not weak
         raise MatroidError("needs a surjective weak map")
-    rmap = induced_representation_map(tau, im_m, im_n, x)
-    hm = homology_map(rmap)
+    hm = homology_map(induced_representation_map(tau, im_m, im_n, x))
     return hm.is_surjective() and hm.source_betti.dominates(hm.target_betti)
 
 
@@ -399,9 +404,9 @@ def verify_strict_decrease(tau, im_m, im_n, x) -> bool:
         raise ValueError("strict decrease needs a rank drop")
     if im_m.rho != im_n.rho:
         raise NotAdmissible("immersions must share rho")
-    cls = classify_map(tau)
-    if not cls.is_weak or not cls.is_surjective:
+    if not tau.is_surjective():
         raise MatroidError("needs a surjective weak map")
+    # is_admissible classifies tau, refusing a map that is not weak
     if not is_admissible(tau, im_m.immersion, im_n.immersion):
         raise NotAdmissible("the weak map does not respect the immersions")
     betti_m = expected_betti(im_m, x)
@@ -417,8 +422,10 @@ def verify_strict_decrease(tau, im_m, im_n, x) -> bool:
 
 def verify_stability(im: ImmersedMatroid, x: SimplicialComplex) -> bool:
     """T at an oversized rho is, at the Betti level, the join of the extra
-    join power of x with T at the matroid's own rank."""
+    join power of x with T at the matroid's own rank, for rank >= 1."""
     r = im.matroid.rank_total
+    if r == 0:
+        raise ValueError("stability needs rank >= 1: T of a rank-0 matroid is S^{-1} at every rho")
     rep_rho = build_representation(im, x)
     rep_r = build_representation(immersed(im.matroid), x)
     extra = _layer_betti(reduced_betti(x), im.rho - r, 0)
@@ -466,31 +473,47 @@ class GroupAction:
 
 
 def _check_simplicial_and_free(komplex: SimplicialComplex, perm):
-    """Raise NotSimplicial if the vertex map ``perm`` sends a simplex of the
-    complex outside it, and otherwise NotFree if it fixes one setwise; the
-    message names the first such simplex in the complex's order."""
-    simplices = [s for k, ss in komplex.simplices_by_dim().items() if k >= 0 for s in ss]
-    images = [frozenset(map(perm.__getitem__, s)) for s in simplices]
-    universe = komplex.nonempty_simplices()
-    for s, image in zip(simplices, images):
-        if image not in universe:
-            raise NotSimplicial(f"permutation breaks simplex {list(s)}")
-    for s, image in zip(simplices, images):
-        if image == frozenset(s):
-            raise NotFree(f"permutation fixes simplex {list(s)} setwise")
+    """Raise NotSimplicial if the vertex permutation ``perm`` sends a simplex
+    of the complex outside it, and otherwise NotFree if it fixes one
+    setwise; the message names the failing facet or cycle, the first in
+    ``label_key`` order.
+
+    A bijection of the vertices is simplicial iff it maps facets onto facets.
+    It fixes a simplex setwise iff the simplex is a union of its cycles, so
+    iff one of its cycles lies in a facet.
+    """
+    facets = komplex.facets
+    broken = [f for f in facets if frozenset(map(perm.__getitem__, f)) not in facets]
+    if broken:
+        raise NotSimplicial(f"permutation breaks facet {sort_labels(min(broken, key=label_key))}")
+    cycle_of = {}
+    for v in komplex.vertices:
+        if v not in cycle_of:
+            cycle = [v]
+            while perm[cycle[-1]] != v:
+                cycle.append(perm[cycle[-1]])
+            cycle_of.update(dict.fromkeys(cycle, frozenset(cycle)))
+    fixed = {cycle_of[v] for f in facets for v in f if cycle_of[v] <= f}
+    if fixed:
+        raise NotFree(f"permutation fixes the cycle {sort_labels(min(fixed, key=label_key))} setwise")
 
 
 def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     """The action on x extends copywise to both representations; it must
     stay simplicial and free there, and the induced map must commute with
-    it on vertices.  Simpliciality and freeness are checked on Y, the
-    hocolim over the whole lattice, of which T and every atom intersection
-    are full subcomplexes, by ``_check_simplicial_and_free``, the routine
-    that checks the action on x in ``GroupAction``."""
+    it on vertices.  It builds two hocolims, Y over the whole lattice for
+    each side, and checks simpliciality and freeness on Y, of which T and
+    every atom intersection are full subcomplexes, by the routine
+    ``GroupAction`` uses.  The induced map is written on T read off Y."""
     if action.complex != x:
         raise ValueError("action must act on the template complex")
-    ys = [hocolim(build_diagram(im, x)).complex for im in (im_m, im_n)]
-    rmap = induced_representation_map(tau, im_m, im_n, x)
+    ys, ts = [], []
+    for im in (im_m, im_n):
+        y = hocolim(build_diagram(im, x))
+        bottom = im.matroid.lattice().bottom
+        ys.append(y.complex)
+        ts.append(y.over_upset(lambda p: p != bottom))
+    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, *ts, SimplicialMap.identity(x))
     for perm in action.nonidentity_elements():
         lifts = []
         for y in ys:

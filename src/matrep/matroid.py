@@ -399,6 +399,9 @@ class SetMap:
     def image_set(self, subset) -> frozenset:
         return frozenset(self.assignment[e] for e in subset) - {ZERO}
 
+    def is_surjective(self) -> bool:
+        return self.image_set(self.source.elements) >= frozenset(self.target.elements)
+
     def then(self, other: "SetMap") -> "SetMap":
         if self.target != other.source:
             raise MatroidError("maps not composable")
@@ -433,7 +436,7 @@ def classify_map(f: SetMap) -> MapClassification:
         if src.closure(pre) != pre:
             strong = False
             break
-    surjective = f.image_set(src.elements) >= frozenset(tgt.elements)
+    surjective = f.is_surjective()
     non_annihilating = all(
         tgt.rank(tgt.closure(f.image_set(a))) == 1 for a in src.lattice().atoms
     )

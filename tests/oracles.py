@@ -9,8 +9,9 @@ Grothendieck posets by comparing every pair of elements, the exchange axiom
 on every two sizes, lattice covers by comparing every pair of flats,
 simplex orders and exports by sorting every simplex through ``label_key``,
 suspended join powers as built complexes rather than by Betti arithmetic,
-matroids of GF(p) matrices by ranking every set of columns, and induced
-representation maps through a morphism of diagrams.
+matroids of GF(p) matrices by ranking every set of columns, induced
+representation maps through a morphism of diagrams, and free simplicial
+actions by testing every simplex.
 """
 
 from __future__ import annotations
@@ -275,3 +276,21 @@ def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
         components[p] = SimplicialMap(space, d_n.space(g(p)), vertex_map)
     poset_map = {p: g(p) for p in d_m.poset.elements}
     return induced_map(DiagramMorphism(d_m, d_n, poset_map, components))
+
+
+def check_simplicial_and_free_by_simplices(komplex, perm):
+    """Raise NotSimplicial if the vertex map ``perm`` sends a simplex of the
+    complex outside it, and otherwise NotFree if it fixes one setwise,
+    testing every nonempty simplex."""
+    from matrep.complexes import NotSimplicial
+    from matrep.engstrom import NotFree
+
+    simplices = [s for k, ss in komplex.simplices_by_dim().items() if k >= 0 for s in ss]
+    images = [frozenset(map(perm.__getitem__, s)) for s in simplices]
+    universe = komplex.nonempty_simplices()
+    for s, image in zip(simplices, images):
+        if image not in universe:
+            raise NotSimplicial(f"permutation breaks simplex {list(s)}")
+    for s, image in zip(simplices, images):
+        if image == frozenset(s):
+            raise NotFree(f"permutation fixes simplex {list(s)} setwise")

@@ -225,6 +225,11 @@ def test_grothendieck_poset_counts():
     assert len(gr.elements) == 6  # 3 vertices + 3 edges
 
 
+def test_hocolim_is_built_once_per_diagram():
+    d = InclusionDiagram(chain_poset(2), {0: sphere(1), 1: sphere(0)})
+    assert hocolim(d) is hocolim(d)
+
+
 def test_hocolim_over_point_preserves_betti():
     for komplex in (sphere(1), two_triangle_complex()):
         d = InclusionDiagram(FinitePoset(["x"], []), {"x": komplex})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrep import complexes, labels
+from matrep import complexes, diagrams, labels, matroid
 from matrep.catalog import (
     five_point_immersion,
     five_point_matroid,
@@ -32,6 +32,7 @@ from matrep.engstrom import (
     NoAtomInImage,
     NotAdmissible,
     NotFree,
+    _check_simplicial_and_free,
     arrangement_flats,
     arrangement_matches_lattice,
     build_diagram,
@@ -51,7 +52,11 @@ from matrep.engstrom import (
 )
 from matrep.matroid import SetMap, classify_map, uniform
 
-from oracles import induced_map_by_morphism, matroid_of_columns
+from oracles import (
+    check_simplicial_and_free_by_simplices,
+    induced_map_by_morphism,
+    matroid_of_columns,
+)
 
 
 def bv(counts):
@@ -261,29 +266,20 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
     assert keyed and not rep.T.vertices.intersection(keyed)
 
 
-def count_reductions(monkeypatch) -> list:
+def count_reductions(count_calls) -> list:
     """The complexes whose homology is reduced from here on, in order."""
-    original = complexes._reduction
-    reduced = []
-
-    def counting(komplex):
-        if komplex._reduction is None:
-            reduced.append(komplex)
-        return original(komplex)
-
-    monkeypatch.setattr(complexes, "_reduction", counting)
-    return reduced
+    return count_calls(complexes, "_reduction", lambda komplex: komplex._reduction is None)
 
 
-def test_expected_betti_reduces_only_the_template(monkeypatch):
+def test_expected_betti_reduces_only_the_template(count_calls):
     x = sphere(1)
-    reduced = count_reductions(monkeypatch)
+    reduced = count_reductions(count_calls)
     assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
     assert reduced == [x]
 
 
-def test_xarrangement_builds_each_upset_complex_once(monkeypatch):
+def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
     im, x = immersed(uniform(4, 5), rho=4), sphere(0)
     rep = build_representation(im, x)
     original = Hocolim.over_upset
@@ -294,7 +290,7 @@ def test_xarrangement_builds_each_upset_complex_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(Hocolim, "over_upset", counting)
-    reduced = count_reductions(monkeypatch)
+    reduced = count_reductions(count_calls)
     assert verify_xarrangement(rep, x).all_pass
     upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
     # x once, Y once and each up-set complex once
@@ -536,22 +532,20 @@ def test_induced_map_agrees_with_diagram_morphism_route(instance):
 
 
 @pytest.mark.parametrize("assignment", [{1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: "o"}])
-def test_induced_map_classifies_tau_once(monkeypatch, assignment):
-    from matrep import engstrom, matroid
-
-    calls = []
-    original = matroid.classify_map
-
-    def counting(f):
-        calls.append(f)
-        return original(f)
-
-    monkeypatch.setattr(matroid, "classify_map", counting)
-    monkeypatch.setattr(engstrom, "classify_map", counting)
+def test_induced_map_classifies_tau_once(count_calls, assignment):
+    calls = count_calls(matroid, "classify_map")
     m = uniform(2, 3)
     tau = SetMap(m, m, assignment)
     induced_representation_map(tau, immersed(m), immersed(m), sphere(0))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verify", [verify_surjectivity, verify_strict_decrease])
+def test_verifiers_classify_tau_once(count_calls, verify):
+    calls = count_calls(matroid, "classify_map")
+    tau = identity_map(uniform(3, 4), uniform(2, 4))
+    assert verify(tau, immersed(uniform(3, 4), rho=3), immersed(uniform(2, 4), rho=3), sphere(0))
+    assert calls == [tau]
 
 
 def test_strict_decrease():
@@ -582,6 +576,14 @@ def test_stability():
     assert verify_stability(immersed(uniform(2, 3)), s0)  # rho = rank: trivial
 
 
+def test_stability_refuses_rank_zero():
+    # T of a rank-0 matroid is S^{-1} at every rho, so no join with the
+    # extra power of x can match it
+    loop = matroid_of_columns([(0, 0)])
+    with pytest.raises(ValueError, match="rank >= 1"):
+        verify_stability(immersed(loop, rho=1), sphere(0))
+
+
 def test_group_action_validation():
     square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (3, 0)])
     rotation = GroupAction(square, [{0: 1, 1: 2, 2: 3, 3: 0}])
@@ -590,6 +592,46 @@ def test_group_action_validation():
         GroupAction(square, [{0: 0, 1: 3, 2: 2, 3: 1}])  # reflection fixes 0 and 2
     with pytest.raises(NotSimplicial):
         GroupAction(square, [{0: 1, 1: 0, 2: 2, 3: 3}])  # sends edge 12 to a diagonal
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    facets=st.lists(
+        st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_facet_and_cycle_checks_agree_with_every_simplex(facets, data):
+    """Facets onto facets and no cycle inside a facet decide simpliciality
+    and freeness as testing every simplex does."""
+    vertices = sorted(set().union(*facets))
+    perm = dict(zip(vertices, data.draw(st.permutations(vertices))))
+    if data.draw(st.booleans()):  # close the facets under perm, which makes it simplicial
+        facets = {frozenset(f) for f in facets}
+        while True:
+            images = {frozenset(map(perm.__getitem__, f)) for f in facets}
+            if images <= facets:
+                break
+            facets |= images
+    komplex = SimplicialComplex(facets)
+    outcomes = []
+    for check in (_check_simplicial_and_free, check_simplicial_and_free_by_simplices):
+        try:
+            check(komplex, perm)
+            outcomes.append(None)
+        except (NotSimplicial, NotFree) as refusal:
+            outcomes.append(type(refusal))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_equivariance_builds_one_hocolim_per_side(count_calls):
+    built = count_calls(diagrams, "grothendieck_poset")
+    m, n, _ = rank3_chain()
+    s0 = sphere(0)
+    assert check_equivariance(swap_action_on_s0(), identity_map(m, n), immersed(m), immersed(n), s0)
+    assert len(built) == 2
 
 
 def test_equivariance_catalog():
@@ -636,10 +678,11 @@ def test_functoriality_on_homology():
         assert h_ml.matrices.get(k, []) == product.get(k, [])
 
 
-def test_composite_flat_maps_are_homotopic_pair():
+def test_composite_flat_maps_are_homotopic_pair(count_calls):
     # the direct flat map of a composite sits below the composite of the
     # flat maps, so the two diagram morphisms induce homotopic maps; their
-    # homology matrices must then be equal
+    # homology matrices must then be equal.  Both maps run between the same
+    # two diagrams, so they share two hocolims and two reductions.
     from matrep.diagrams import DiagramMorphism, homotopic_pair_check, induced_map
     from matrep.matroid import induced_flat_map
 
@@ -662,9 +705,12 @@ def test_composite_flat_maps_are_homotopic_pair():
     m1 = morphism_for(direct)
     m2 = morphism_for(composed)
     assert homotopic_pair_check(m1, m2)
+    built = count_calls(diagrams, "grothendieck_poset")
+    reduced = count_reductions(count_calls)
     h1 = homology_map(induced_map(m1))
     h2 = homology_map(induced_map(m2))
     assert h1.matrices == h2.matrices
+    assert len(built) == 2 and len(reduced) == 2
 
 
 def test_colim_agrees_with_hocolim_on_full_lattice_diagrams():
