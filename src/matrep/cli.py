@@ -2,9 +2,11 @@
 
 Documents are JSON with sorted keys.  A matroid document carries a name, a
 ground set of string labels and exactly one of bases / independents /
-flats, plus an optional immersion.  A map document names its endpoints and
-lists the assignment, including "o" -> "o".  Reports echo the command and
-inputs and are byte-identical across runs apart from the timing field.
+flats, plus an optional rho and an optional immersion, which needs rho;
+a rho alone selects the canonical immersion.  A map document names its
+endpoints and lists the assignment, including "o" -> "o".  Reports echo the
+command and inputs and are byte-identical across runs apart from the
+timing field.
 
 Exit codes: 0 all checks pass, 2 property violation, 3 input error.
 """
@@ -88,16 +90,15 @@ def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
             matroid = matroid_from_flats(elements, family)
     except MatroidError as exc:
         raise InputError(f"invalid matroid document: {exc}") from exc
-    immersion = None
-    if "immersion" in doc:
-        rho = doc.get("rho")
-        if rho is None:
-            raise InputError("an immersion needs an explicit 'rho'")
-        mapping = {}
-        for entry in doc["immersion"]:
-            mapping[frozenset(entry["flat"])] = frozenset(int(i) for i in entry["bits"])
-        immersion = Immersion.from_dict(matroid, int(rho), mapping)
-    return matroid, immersion
+    rho = doc.get("rho")
+    if "immersion" not in doc:
+        return matroid, None if rho is None else canonical_immersion(matroid, int(rho))
+    if rho is None:
+        raise InputError("an immersion needs an explicit 'rho'")
+    mapping = {}
+    for entry in doc["immersion"]:
+        mapping[frozenset(entry["flat"])] = frozenset(int(i) for i in entry["bits"])
+    return matroid, Immersion.from_dict(matroid, int(rho), mapping)
 
 
 def matroid_to_doc(matroid: Matroid, name: str) -> dict:

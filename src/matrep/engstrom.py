@@ -257,11 +257,13 @@ def _closed_atom_sets(rep: Representation) -> set:
     A set of atoms is closed when no further atom subcomplex contains the
     intersection of the chosen ones.  The empty set is always closed: its
     intersection is all of Y, whose vertices over the bottom flat lie in
-    no atom subcomplex.
+    no atom subcomplex.  The atom subcomplex of a is the full subcomplex
+    of T on the vertices over flats containing a, so only those vertex
+    sets are read and no subcomplex is built.
     """
-    atoms = sort_labels(rep.atom_subcomplexes)
-    vertex_sets = {a: rep.atom_subcomplexes[a].vertices for a in atoms}
+    atoms = rep.lattice.atoms
     t_vertices = rep.T.vertices
+    vertex_sets = {a: frozenset(v for v in t_vertices if a <= v[0]) for a in atoms}
     closed = {frozenset()}
     for k in range(1, len(atoms) + 1):
         for combo in itertools.combinations(atoms, k):
@@ -281,22 +283,16 @@ def arrangement_flats(rep: Representation) -> FinitePoset:
 
 def arrangement_matches_lattice(rep: Representation) -> bool:
     """Whether the intersection poset is isomorphic to the lattice of flats,
-    under atom-set <-> flat (join of the atoms, bottom for the empty set)."""
+    under atom-set <-> flat (join of the atoms, bottom for the empty set).
+
+    The lattice of flats is atomistic, so each flat is the join of the
+    atoms below it and f -> atoms_below(f) is an order isomorphism onto its
+    image.  The closed sets are ordered by containment as well, so the two
+    posets match under that correspondence exactly when the closed sets are
+    the sets of atoms below the flats.
+    """
     lat = rep.lattice
-    closed = _closed_atom_sets(rep)
-    forward = {}
-    for s in closed:
-        forward[s] = lat.join_all(s) if s else lat.bottom
-    if sorted(forward.values(), key=label_key) != sorted(lat.flats, key=label_key):
-        return False
-    backward = {f: frozenset(lat.atoms_below(f)) for f in lat.flats}
-    if set(backward.values()) != closed:
-        return False
-    for s in closed:
-        for t in closed:
-            if (s <= t) != (forward[s] <= forward[t]):
-                return False
-    return True
+    return _closed_atom_sets(rep) == {frozenset(lat.atoms_below(f)) for f in lat.flats}
 
 
 def reroute_annihilating(tau: SetMap) -> FlatMap:

@@ -20,10 +20,10 @@ from .labels import label_key, sort_labels
 
 ZERO = "o"
 
-# At the cap, U6,12 builds in about 2.3 s (validation pairs up independent
-# sets of consecutive sizes) and its lattice takes about 7.3 s more, almost
-# all in the pairwise check of GeometricLattice._check_geometric: `matrep
-# info U6,12` runs about 9.5 s wall on one core of an Intel Xeon server
+# At the cap, U6,12 builds in about 2.6 s, nearly all of it validation
+# pairing up independent sets of consecutive sizes; its lattice takes about
+# 0.03 s more and its Mobius values about 0.12 s: `matrep info U6,12` runs
+# about 3.5 s wall on one core of an Intel Xeon server
 MAX_ELEMENTS = 12
 
 
@@ -165,8 +165,11 @@ class Matroid:
 class GeometricLattice:
     """Flats of a matroid ordered by containment, graded by rank.
 
-    Meets are intersections, joins are closures of unions; semimodularity
-    and atomicity are verified at construction.
+    Meets are intersections, joins are closures of unions.  The flats of a
+    matroid form a geometric lattice (Oxley, Matroid Theory, 1.7): they are
+    closed under intersection, the lattice is semimodular and every flat is
+    the join of the atoms below it.  These are theorems about every valid
+    Matroid, so construction does not check them.
     """
 
     def __init__(self, matroid: Matroid):
@@ -188,21 +191,6 @@ class GeometricLattice:
         )
         self._mobius = None
         self._covers = None
-        self._check_geometric()
-
-    def _check_geometric(self):
-        flat_set = set(self.flats)
-        for p, q in itertools.combinations(self.flats, 2):
-            meet = p & q
-            if meet not in flat_set:
-                raise MatroidError(f"flats not intersection-closed at {set(p)}, {set(q)}")
-            join = self.join(p, q)
-            if self.rank_of[p] + self.rank_of[q] < self.rank_of[meet] + self.rank_of[join]:
-                raise MatroidError(f"semimodularity fails at {set(p)}, {set(q)}")
-        for f in self.flats:
-            below = [a for a in self.atoms if a <= f]
-            if self.matroid.closure(frozenset().union(*below) if below else ()) != f:
-                raise MatroidError(f"flat {set(f)} is not a join of atoms")
 
     def join(self, p, q) -> frozenset:
         return self.matroid.closure(p | q)
@@ -272,9 +260,8 @@ class WhitneyVector:
         return len(self.w)
 
     def dominates(self, other: "WhitneyVector") -> bool:
-        if len(self.w) != len(other.w):
-            return False
-        return all(a >= b for a, b in zip(self.w, other.w))
+        """Degree by degree, a degree missing on one side counting as 0."""
+        return all(a >= b for a, b in itertools.zip_longest(self.w, other.w, fillvalue=0))
 
     def as_list(self):
         return list(self.w)
@@ -446,7 +433,7 @@ def classify_map(f: SetMap) -> MapClassification:
 class FlatMap:
     """An order-preserving map between lattices of flats."""
 
-    def __init__(self, source_lattice, target_lattice, assignment, require_rank_nonincreasing=False):
+    def __init__(self, source_lattice, target_lattice, assignment):
         self.source_lattice = source_lattice
         self.target_lattice = target_lattice
         self.assignment = dict(assignment)
@@ -456,10 +443,6 @@ class FlatMap:
         for p, q in source_lattice.covers():
             if not self.assignment[p] <= self.assignment[q]:
                 raise MatroidError(f"flat map is not order-preserving at {set(p)} < {set(q)}")
-        if require_rank_nonincreasing:
-            for p in source_lattice.flats:
-                if target_lattice.rank_of[self.assignment[p]] > source_lattice.rank_of[p]:
-                    raise MatroidError(f"flat map increases rank at {set(p)}")
 
     def __call__(self, p):
         return self.assignment[p]
@@ -491,7 +474,7 @@ def induced_flat_map(f: SetMap) -> FlatMap:
     src_lat = f.source.lattice()
     tgt_lat = f.target.lattice()
     assignment = {p: f.target.closure(f.image_set(p)) for p in src_lat.flats}
-    return FlatMap(src_lat, tgt_lat, assignment, require_rank_nonincreasing=True)
+    return FlatMap(src_lat, tgt_lat, assignment)
 
 
 def factor_through_truncation(f: SetMap):
@@ -505,7 +488,6 @@ def factor_through_truncation(f: SetMap):
     truncated = truncate(f.source, k)
     id_k = SetMap(f.source, truncated, {e: e for e in f.source.elements})
     tau_k = SetMap(truncated, f.target, dict(f.assignment))
-    assert classify_map(id_k).is_weak and classify_map(tau_k).is_weak
     return id_k, tau_k
 
 

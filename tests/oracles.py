@@ -10,8 +10,10 @@ on every two sizes, lattice covers by comparing every pair of flats,
 simplex orders and exports by sorting every simplex through ``label_key``,
 suspended join powers as built complexes rather than by Betti arithmetic,
 matroids of GF(p) matrices by ranking every set of columns, induced
-representation maps through a morphism of diagrams, and free simplicial
-actions by testing every simplex.
+representation maps through a morphism of diagrams, free simplicial
+actions by testing every simplex, the arrangement of atom subcomplexes
+through the built subcomplexes and every pair of closed sets, and the
+geometric lattice axioms with joins as least upper bounds among the flats.
 """
 
 from __future__ import annotations
@@ -294,3 +296,59 @@ def check_simplicial_and_free_by_simplices(komplex, perm):
     for s, image in zip(simplices, images):
         if image == frozenset(s):
             raise NotFree(f"permutation fixes simplex {list(s)} setwise")
+
+
+def closed_atom_sets_by_subcomplexes(rep) -> set:
+    """The closed sets of atoms, read off the vertex sets of the built atom
+    subcomplexes: each intersection of atom subcomplexes is closed up to
+    every atom subcomplex containing it, with the empty set always closed."""
+    atoms = sort_labels(rep.atom_subcomplexes)
+    vertex_sets = {a: rep.atom_subcomplexes[a].vertices for a in atoms}
+    closed = {frozenset()}
+    for k in range(1, len(atoms) + 1):
+        for combo in itertools.combinations(atoms, k):
+            meet = rep.T.vertices
+            for a in combo:
+                meet = meet & vertex_sets[a]
+            closed.add(frozenset(b for b in atoms if meet <= vertex_sets[b]))
+    return closed
+
+
+def arrangement_matches_lattice_by_definition(rep) -> bool:
+    """Whether the closed sets of atoms, ordered by containment, are
+    isomorphic to the lattice of flats under atom set -> join of its atoms
+    (bottom for the empty set): that map must be a bijection onto the
+    flats, its inverse must be atoms-below, and it must preserve and
+    reflect the order on every pair of closed sets."""
+    lat = rep.lattice
+    closed = closed_atom_sets_by_subcomplexes(rep)
+    forward = {s: lat.join_all(s) if s else lat.bottom for s in closed}
+    if sorted_flats(forward.values()) != sorted_flats(lat.flats):
+        return False
+    if {frozenset(lat.atoms_below(f)) for f in lat.flats} != closed:
+        return False
+    return all((s <= t) == (forward[s] <= forward[t]) for s in closed for t in closed)
+
+
+def geometric_lattice_violations(lattice) -> list:
+    """Where the flats fail to form a geometric lattice, with joins taken as
+    least upper bounds in the flat family, not as closures: a pair whose
+    intersection is no flat, a pair breaking semimodularity, or a flat that
+    is not the join of the atoms below it."""
+    flats = set(lattice.flats)
+    rank = lattice.rank_of
+
+    def join(subsets):
+        union = frozenset().union(*subsets)
+        return min((f for f in flats if union <= f), key=len)
+
+    out = []
+    for p, q in itertools.combinations(lattice.flats, 2):
+        if p & q not in flats:
+            out.append(("intersection", p, q))
+        elif rank[p] + rank[q] < rank[p & q] + rank[join([p, q])]:
+            out.append(("semimodular", p, q))
+    for f in lattice.flats:
+        if join([a for a in lattice.atoms if a <= f]) != f:
+            out.append(("atomistic", f))
+    return out

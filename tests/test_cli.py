@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from matrep import cli
 from matrep.matroid import MAX_ELEMENTS
 
@@ -149,6 +151,21 @@ def test_represent_rank_zero_matroid(tmp_path, capsys):
     assert code == 0
     assert report["results"]["agreement"] is True
     assert report["results"]["betti_constructed"] == {"-1": 1}
+
+
+@pytest.mark.parametrize(
+    "doc_rho, options, code, betti",
+    [(3, [], 0, {"1": 5}), (3, ["--rho", "2"], 0, {"0": 5}), (1, [], 3, None)],
+)
+def test_represent_document_rho(tmp_path, capsys, doc_rho, options, code, betti):
+    # a rho without an immersion selects the canonical one; --rho overrides
+    # it, and a rho below the rank is refused
+    path = tmp_path / "u23.json"
+    bases = [["1", "2"], ["1", "3"], ["2", "3"]]
+    path.write_text(json.dumps({"elements": ["1", "2", "3"], "bases": bases, "rho": doc_rho}))
+    got, report = run_cli(capsys, "represent", str(path), "S0", *options)
+    assert got == code
+    assert (report and report["results"]["betti_constructed"]) == betti
 
 
 def test_truncate_command(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import random
 import sys
 
 import pytest
@@ -32,7 +34,9 @@ from matrep.engstrom import (
     NoAtomInImage,
     NotAdmissible,
     NotFree,
+    Representation,
     _check_simplicial_and_free,
+    _closed_atom_sets,
     arrangement_flats,
     arrangement_matches_lattice,
     build_diagram,
@@ -50,10 +54,12 @@ from matrep.engstrom import (
     verify_surjectivity,
     verify_xarrangement,
 )
-from matrep.matroid import SetMap, classify_map, uniform
+from matrep.matroid import SetMap, classify_map, induced_flat_map, uniform
 
 from oracles import (
+    arrangement_matches_lattice_by_definition,
     check_simplicial_and_free_by_simplices,
+    closed_atom_sets_by_subcomplexes,
     induced_map_by_morphism,
     matroid_of_columns,
 )
@@ -356,6 +362,59 @@ def test_arrangement_matches_lattice_catalog():
             assert arrangement_matches_lattice(rep), name
 
 
+def permuted_immersion(immersion, perm):
+    """``immersion`` with each bit i renamed perm[i], again rank- and
+    order-reversing."""
+    return Immersion.from_dict(
+        immersion.matroid,
+        immersion.rho,
+        {f: frozenset(perm[i] for i in s) for f, s in immersion.as_dict().items()},
+    )
+
+
+def arrangement_instances():
+    """The catalog at rho = rank; column matroids of random GF(2) matrices
+    at rho = rank or rank + 1, their bits permuted at random; and mismatched
+    pairs, a representation of one of these matroids holding the hocolim of
+    another on the same ground set."""
+    reps = [
+        build_representation(im, x)
+        for _, im, x in representation_instances()
+        if im.rho == im.matroid.rank_total
+    ]
+    rng, s0 = random.Random(10), sphere(0)
+    genuine = []
+    for _ in range(24):
+        columns = [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(rng.randint(1, 5))]
+        m = matroid_of_columns(columns)
+        rho = m.rank_total + rng.randint(0, 1)
+        bits = rng.sample(range(1, rho + 1), rho)
+        l = permuted_immersion(canonical_immersion(m, rho), dict(zip(range(1, rho + 1), bits)))
+        genuine.append(build_representation(ImmersedMatroid(m, l), s0))
+    reps.extend(genuine)
+    for a, b in itertools.permutations(genuine, 2):
+        m, n = a.immersed.matroid, b.immersed.matroid
+        if m.elements == n.elements and m != n:
+            reps.append(Representation(a.immersed, s0, b.hocolim))
+    return reps
+
+
+def test_arrangement_check_agrees_with_definition():
+    outcomes = []
+    for rep in arrangement_instances():
+        assert _closed_atom_sets(rep) == closed_atom_sets_by_subcomplexes(rep)
+        outcomes.append(arrangement_matches_lattice(rep))
+        assert outcomes[-1] == arrangement_matches_lattice_by_definition(rep)
+    assert True in outcomes and False in outcomes
+
+
+def test_arrangement_check_builds_no_subcomplex(monkeypatch):
+    rep = build_representation(immersed(uniform(3, 4)), sphere(0))
+    monkeypatch.setattr(Hocolim, "over_upset", lambda self, keep: pytest.fail("built an up-set complex"))
+    assert arrangement_matches_lattice(rep)
+    assert "atom_subcomplexes" not in vars(rep)
+
+
 def test_reroute_annihilating():
     m = uniform(2, 3)
     tau = SetMap(m, m, {1: 1, 2: 2, 3: "o"})
@@ -451,11 +510,7 @@ def reversed_immersion(immersion):
     """The immersion i -> rho + 1 - i of ``immersion``, also rank- and
     order-reversing; against a canonical one it is rarely admissible."""
     rho = immersion.rho
-    return Immersion.from_dict(
-        immersion.matroid,
-        rho,
-        {f: frozenset(rho + 1 - i for i in s) for f, s in immersion.as_dict().items()},
-    )
+    return permuted_immersion(immersion, {i: rho + 1 - i for i in range(1, rho + 1)})
 
 
 @st.composite
@@ -529,6 +584,14 @@ def test_induced_map_agrees_with_diagram_morphism_route(instance):
     assert _outcome(induced_representation_map, *instance) == _outcome(
         induced_map_by_morphism, *instance
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=weak_map_instances())
+def test_induced_flat_map_never_raises_rank(instance):
+    g = induced_flat_map(instance[0])
+    source, target = g.source_lattice, g.target_lattice
+    assert all(target.rank_of[g(p)] <= source.rank_of[p] for p in source.flats)
 
 
 @pytest.mark.parametrize("assignment", [{1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: "o"}])

@@ -13,6 +13,7 @@ from matrep.catalog import (
 )
 from matrep.matroid import (
     ExchangeFailure,
+    GeometricLattice,
     KOutOfRange,
     Matroid,
     MatroidError,
@@ -38,7 +39,9 @@ from oracles import (
     brute_closure,
     brute_rank,
     exchange_failures_by_definition,
+    geometric_lattice_violations,
     lattice_covers_by_definition,
+    matroid_of_columns,
     mobius_by_chain_counting,
     weak_by_definition,
 )
@@ -207,11 +210,44 @@ def test_lattice_covers_match_definition():
 
 
 def test_lattice_semimodular_and_atomic():
-    # construction raises if either property fails; run over the catalog
+    # construction checks neither property, as both are theorems for the
+    # flats of a matroid; check them on the catalog and every truncation
     for name in catalog_names():
-        lat = catalog_matroid(name).lattice()
-        for p, q in itertools.combinations(lat.flats, 2):
-            assert lat.rank_of[p] + lat.rank_of[q] >= lat.rank_of[lat.meet(p, q)] + lat.rank_of[lat.join(p, q)]
+        m = catalog_matroid(name)
+        for k in range(m.rank_total + 1):
+            lat = truncate(m, k).lattice()
+            assert geometric_lattice_violations(lat) == [], (name, k)
+            for p, q in itertools.combinations(lat.flats, 2):
+                assert lat.rank_of[p] + lat.rank_of[q] >= lat.rank_of[lat.meet(p, q)] + lat.rank_of[lat.join(p, q)]
+
+
+@st.composite
+def column_matroids(draw):
+    """Column matroids of up to five random GF(2) or GF(3) columns of
+    length three, loops and parallel columns included."""
+    p = draw(st.sampled_from([2, 3]))
+    column = st.tuples(*[st.integers(min_value=0, max_value=p - 1)] * 3)
+    return matroid_of_columns(draw(st.lists(column, min_size=1, max_size=5)), p=p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=column_matroids(), data=st.data())
+def test_flats_form_a_geometric_lattice(m, data):
+    k = data.draw(st.integers(min_value=0, max_value=m.rank_total))
+    assert geometric_lattice_violations(truncate(m, k).lattice()) == []
+
+
+def test_lattice_makes_no_join(monkeypatch):
+    calls = []
+    original = GeometricLattice.join
+
+    def counting(self, p, q):
+        calls.append((p, q))
+        return original(self, p, q)
+
+    monkeypatch.setattr(GeometricLattice, "join", counting)
+    assert len(uniform(4, 8).lattice()) == 1 + 8 + 28 + 56 + 1
+    assert calls == []
 
 
 def test_mobius_against_chain_counting_oracle():
@@ -291,7 +327,11 @@ def test_weak_characterizations_agree_exhaustively():
     ]
     for src, tgt in pairs:
         for setmap in all_set_maps(src, tgt):
-            assert classify_map(setmap).is_weak == weak_by_definition(setmap)
+            weak = weak_by_definition(setmap)
+            assert classify_map(setmap).is_weak == weak
+            if not weak:
+                with pytest.raises(MatroidError):
+                    induced_flat_map(setmap)
 
 
 def test_induced_flat_map_examples():
@@ -306,10 +346,15 @@ def test_induced_flat_map_examples():
 
 def test_whitney_monotone_under_surjective_weak_maps():
     m, n, l = rank3_chain()
-    for src, tgt in [(m, n), (n, l), (m, l)]:
+    pairs = [(m, n), (n, l), (m, l), (uniform(3, 4), uniform(2, 4))]
+    for name in catalog_names():
+        src = catalog_matroid(name)
+        pairs.extend((src, truncate(src, k)) for k in range(1, src.rank_total + 1))
+    for src, tgt in pairs:
         cls = classify_map(identity_map(src, tgt))
         assert cls.is_weak and cls.is_surjective
         assert whitney_first(src).dominates(whitney_first(tgt))
+    assert not whitney_first(uniform(2, 4)).dominates(whitney_first(uniform(3, 4)))
 
 
 def test_truncation_whitney_inequality():
@@ -336,13 +381,15 @@ def test_strong_maps_give_order_isomorphisms():
 def test_factor_through_truncation():
     f = identity_map(uniform(3, 4), uniform(2, 4))
     id_k, tau_k = factor_through_truncation(f)
+    assert classify_map(id_k).is_weak and classify_map(tau_k).is_weak
     assert id_k.target == uniform(2, 4)
     assert all(tau_k(e) == e for e in tau_k.source.elements)
     equal = identity_map(uniform(2, 3), uniform(2, 3))
     id_0, tau_0 = factor_through_truncation(equal)
     assert id_0.target == uniform(2, 3)
     deep = identity_map(uniform(3, 4), uniform(1, 4))
-    id_2, _ = factor_through_truncation(deep)
+    id_2, tau_2 = factor_through_truncation(deep)
+    assert classify_map(id_2).is_weak and classify_map(tau_2).is_weak
     assert id_2.target.rank_total == 1
     non_surjective = SetMap(uniform(2, 3), uniform(2, 3), {1: 1, 2: 1, 3: 1})
     with pytest.raises(NotSurjective):
