@@ -10,7 +10,7 @@ import re
 
 from .complexes import SimplicialComplex, SimplicialMap, sphere
 from .diagrams import DiagramMorphism, FinitePoset, InclusionDiagram
-from .engstrom import Immersion, ImmersedMatroid, immersed
+from .engstrom import GroupAction, Immersion, ImmersedMatroid, immersed
 from .matroid import Matroid, SetMap, matroid_from_flats, uniform
 
 
@@ -150,26 +150,7 @@ def contrast_diagrams():
     return first, second, morphism
 
 
-def two_triangle_complex() -> SimplicialComplex:
-    """Two triangles glued along an edge; contractible."""
-    return SimplicialComplex([(1, 2, 3), (1, 3, 4)])
-
-
-def face_diagram(komplex: SimplicialComplex) -> InclusionDiagram:
-    """The diagram over the face poset (reverse inclusion) whose colimit
-    glues the closed simplices back into the complex."""
-    faces = sorted(komplex.nonempty_simplices(), key=lambda s: (len(s), sorted(s)))
-    poset = FinitePoset.from_leq(faces, lambda a, b: b <= a)
-    spaces = {}
-    for f in faces:
-        verts = sorted(f)
-        spaces[f] = SimplicialComplex([verts])
-    return InclusionDiagram(poset, spaces)
-
-
 def swap_action_on_s0():
     """The two-element antipodal action on the 0-sphere."""
-    from .engstrom import GroupAction
-
     s0 = sphere(0)
     return GroupAction(s0, [{0: 1, 1: 0}])

@@ -21,7 +21,9 @@ import time
 
 from . import catalog
 from .complexes import (
+    BettiVector,
     SimplicialComplex,
+    compose_matrices,
     homology_map,
     reduced_betti,
     sphere,
@@ -51,6 +53,7 @@ from .matroid import (
     matroid_from_bases,
     matroid_from_flats,
     truncate,
+    uniform,
     whitney_first,
 )
 
@@ -64,23 +67,48 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a document is a JSON object, not a {type(doc).__name__}")
+    return doc
+
+
+def _read(path: str, parse):
+    """``parse`` of the document at ``path``; its input errors name the file."""
+    doc = _load_json(path)
+    try:
+        return parse(doc)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list")
+    return value
+
+
+def _labels(value, what: str) -> list:
+    """A list of document labels: strings or integers, never floats or
+    booleans, which no label order covers."""
+    if any(type(v) not in (int, str) for v in _list(value, what)):
+        raise InputError(f"{what} must hold only strings and integers")
+    return value
 
 
 def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
-    try:
-        elements = list(doc["elements"])
-    except KeyError as exc:
-        raise InputError("matroid document needs an 'elements' field") from exc
+    if "elements" not in doc:
+        raise InputError("matroid document needs an 'elements' field")
+    elements = _labels(doc["elements"], "'elements'")
     kinds = [k for k in ("bases", "independents", "flats") if k in doc]
     if len(kinds) != 1:
         raise InputError("matroid document needs exactly one of bases/independents/flats")
     kind = kinds[0]
-    family = [frozenset(s) for s in doc[kind]]
+    family = [frozenset(_labels(s, f"each of {kind!r}")) for s in _list(doc[kind], repr(kind))]
     try:
         if kind == "bases":
             matroid = matroid_from_bases(elements, family)
@@ -91,14 +119,19 @@ def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
     except MatroidError as exc:
         raise InputError(f"invalid matroid document: {exc}") from exc
     rho = doc.get("rho")
+    if rho is not None and type(rho) is not int:
+        raise InputError("'rho' must be an integer")
     if "immersion" not in doc:
-        return matroid, None if rho is None else canonical_immersion(matroid, int(rho))
+        return matroid, None if rho is None else canonical_immersion(matroid, rho)
     if rho is None:
         raise InputError("an immersion needs an explicit 'rho'")
     mapping = {}
-    for entry in doc["immersion"]:
-        mapping[frozenset(entry["flat"])] = frozenset(int(i) for i in entry["bits"])
-    return matroid, Immersion.from_dict(matroid, int(rho), mapping)
+    for entry in _list(doc["immersion"], "'immersion'"):
+        if not isinstance(entry, dict) or not {"flat", "bits"} <= entry.keys():
+            raise InputError("each immersion entry needs a 'flat' and its 'bits'")
+        bits = _labels(entry["bits"], "'bits'")
+        mapping[frozenset(_labels(entry["flat"], "'flat'"))] = frozenset(map(int, bits))
+    return matroid, Immersion.from_dict(matroid, rho, mapping)
 
 
 def matroid_to_doc(matroid: Matroid, name: str) -> dict:
@@ -117,35 +150,51 @@ def resolve_matroid(name_or_path: str) -> tuple[Matroid, Immersion | None]:
         return catalog.catalog_matroid(name_or_path), None
     except KeyError:
         pass
-    return matroid_from_doc(_load_json(name_or_path))
+    return _read(name_or_path, matroid_from_doc)
+
+
+def complex_from_doc(doc: dict) -> SimplicialComplex:
+    """The complex of a document whose labels are checked here: the complex
+    keys them only when it first sorts them."""
+    for facet in _list(doc.get("facets"), "a complex document's 'facets'"):
+        _labels(facet, "each facet")
+    _labels(doc.get("vertices", []), "'vertices'")
+    return SimplicialComplex.from_doc(doc)
 
 
 def resolve_complex(name_or_path: str) -> SimplicialComplex:
     match = re.fullmatch(r"S(-?\d+)", name_or_path)
     if match:
         return sphere(int(match.group(1)))
-    return SimplicialComplex.from_doc(_load_json(name_or_path))
+    return _read(name_or_path, complex_from_doc)
 
 
 def map_from_doc(doc: dict, matroids: dict) -> SetMap:
+    """The map of a document whose source and target are names in
+    ``matroids`` or in the catalog."""
     for key in ("source", "target", "assignment"):
         if key not in doc:
             raise InputError(f"map document needs a '{key}' field")
-    if doc["source"] not in matroids or doc["target"] not in matroids:
-        raise InputError("map document references unknown matroid names")
-    source = matroids[doc["source"]]
-    target = matroids[doc["target"]]
+    names = doc["source"], doc["target"]
+    if any(type(name) is not str for name in names):
+        raise InputError("map document names its source and target by strings")
+    try:
+        source, target = (matroids[n] if n in matroids else catalog.catalog_matroid(n) for n in names)
+    except KeyError as exc:
+        raise InputError("map document references unknown matroid names") from exc
+    if not isinstance(doc["assignment"], dict):
+        raise InputError("map document's 'assignment' must be an object")
     # documents carry string labels; resolve them against the ground sets
     src_by_name = {format_label(e): e for e in source.elements}
     tgt_by_name = {format_label(e): e for e in target.elements}
     tgt_by_name["o"] = "o"
     assignment = {}
-    for key, value in dict(doc["assignment"]).items():
+    for key, value in doc["assignment"].items():
         if key == "o":
             if value != "o":
                 raise InputError("map documents must send o to o")
             continue
-        if key not in src_by_name or value not in tgt_by_name:
+        if key not in src_by_name or type(value) is not str or value not in tgt_by_name:
             raise InputError(f"map document uses unknown label {key!r} or {value!r}")
         assignment[src_by_name[key]] = tgt_by_name[value]
     try:
@@ -220,18 +269,8 @@ def cmd_truncate(args, started) -> int:
 
 
 def cmd_check_map(args, started) -> int:
-    doc = _load_json(args.map)
-    matroids = {}
-    for entry in args.matroids or []:
-        m, _ = resolve_matroid(entry)
-        matroids[entry] = m
-    for name in (doc.get("source"), doc.get("target")):
-        if name is not None and name not in matroids:
-            try:
-                matroids[name] = catalog.catalog_matroid(name)
-            except KeyError:
-                pass
-    setmap = map_from_doc(doc, matroids)
+    matroids = {entry: resolve_matroid(entry)[0] for entry in args.matroids or []}
+    setmap = _read(args.map, lambda doc: map_from_doc(doc, matroids))
     cls = classify_map(setmap)
     results = {
         "is_weak": cls.is_weak,
@@ -358,8 +397,6 @@ def _verify_surjectivity() -> list[dict]:
 
 
 def _verify_strict_decrease() -> list[dict]:
-    from .matroid import uniform
-
     tau = catalog.identity_map(uniform(3, 4), uniform(2, 4))
     im_m = immersed(uniform(3, 4), rho=3)
     im_n = immersed(uniform(2, 4), rho=3)
@@ -377,8 +414,6 @@ def _verify_strict_decrease() -> list[dict]:
 
 
 def _verify_functoriality() -> list[dict]:
-    from .complexes import compose_matrices
-
     m, n, l = catalog.rank3_chain()
     s0 = sphere(0)
     t_mn = catalog.identity_map(m, n)
@@ -406,8 +441,6 @@ def _verify_functoriality() -> list[dict]:
 
 
 def _verify_stability() -> list[dict]:
-    from .matroid import uniform
-
     s0 = sphere(0)
     out = []
     for rho, degree, expected in [(3, 1, 5), (4, 2, 5)]:
@@ -457,8 +490,6 @@ def _verify_appendix() -> list[dict]:
         "hocolim_first": reduced_betti(hocolim(first).complex),
         "hocolim_second": reduced_betti(hocolim(second).complex),
     }
-    from .complexes import BettiVector
-
     sphere2 = BettiVector({2: 1})
     ok = (
         betti["colim_first"] == sphere2

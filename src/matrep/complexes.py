@@ -10,21 +10,17 @@ Vertex labels are ints, strings, tuples or frozensets.  A complex sorts its
 vertices by ``label_key`` once, on first use, and stores one sorted list of
 simplices per dimension, as tuples of vertex ranks; rank order is
 ``label_key`` order because the key is injective.  Boundary matrices, face
-counts and homology maps work on the rank tuples, and labels are put back
-only for callers that ask for them (``simplices_by_dim``,
-``nonempty_simplices``).  Full subcomplexes inherit the order of the complex
-they are cut from.  Constructions that know their facets are maximal and
-their vertices sorted (order complexes of posets, joins of copies of a
+counts, simplex lookups and homology maps work on the rank tuples, and
+labels are put back only for callers that ask for them
+(``simplices_by_dim``).  Constructions that know their facets are maximal
+and their vertices sorted (order complexes of posets, joins of copies of a
 complex) hand both to a private constructor that keeps them as given, so
 they filter no facet list and key no vertex.
-
-Binary constructors (join, disjoint union) keep labels when the inputs are
-label-disjoint and otherwise relabel both sides with namespace tuples
-``(0, v)`` / ``(1, v)``, deterministically.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import types
 
@@ -50,10 +46,6 @@ class SimplicialComplex:
     @classmethod
     def empty(cls) -> "SimplicialComplex":
         return cls._known((), ())
-
-    @classmethod
-    def point(cls, label=0) -> "SimplicialComplex":
-        return cls([[label]])
 
     @classmethod
     def _known(cls, facets, order) -> "SimplicialComplex":
@@ -94,6 +86,11 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self._facets
 
+    @functools.cached_property
+    def _rank_of(self) -> dict:
+        """Vertex -> its index in ``_vertex_order()``."""
+        return {v: i for i, v in enumerate(self._vertex_order())}
+
     def _ranked(self) -> dict:
         """Sorted simplices per dimension as tuples of vertex ranks, the
         complex's one stored simplex list; dimension -1 holds ``()``.
@@ -102,7 +99,7 @@ class SimplicialComplex:
         ``label_key`` tuples of their vertices would.
         """
         if self._simplices is None:
-            rank = {v: i for i, v in enumerate(self._vertex_order())}
+            rank = self._rank_of
             seen = set()
             for f in self._facets:
                 ranks = sorted(map(rank.__getitem__, f))
@@ -120,40 +117,21 @@ class SimplicialComplex:
         order = self._vertex_order()
         return {k: [tuple(map(order.__getitem__, s)) for s in ss] for k, ss in self._ranked().items()}
 
-    def nonempty_simplices(self):
-        """All nonempty simplices as frozensets."""
-        if self._simplex_set is None:
-            order = self._vertex_order()
-            self._simplex_set = frozenset(
-                frozenset(map(order.__getitem__, s))
-                for k, ss in self._ranked().items()
-                if k >= 0
-                for s in ss
-            )
-        return self._simplex_set
-
     def has_simplex(self, s) -> bool:
-        return frozenset(s) in self.nonempty_simplices()
+        """Whether the vertices ``s`` span a nonempty simplex; the rank
+        tuples of ``_ranked()`` are looked up as one set, built once."""
+        if self._simplex_set is None:
+            self._simplex_set = frozenset(s for k, ss in self._ranked().items() if k >= 0 for s in ss)
+        try:
+            return tuple(sorted(map(self._rank_of.__getitem__, s))) in self._simplex_set
+        except KeyError:  # s holds a label that is no vertex of the complex
+            return False
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(other.has_simplex(f) for f in self._facets)
 
-    def full_subcomplex(self, keep_vertices) -> "SimplicialComplex":
-        """Subcomplex on the simplices entirely inside ``keep_vertices``."""
-        keep = frozenset(keep_vertices)
-        komplex = SimplicialComplex(f & keep for f in self._facets)
-        vertices = komplex.vertices
-        komplex._order = tuple(v for v in self._vertex_order() if v in vertices)
-        return komplex
-
-    def relabel(self, fn) -> "SimplicialComplex":
-        return SimplicialComplex(frozenset(fn(v) for v in f) for f in self._facets)
-
     def face_counts(self) -> dict:
         return {k: len(ss) for k, ss in self._ranked().items() if k >= 0}
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in self.face_counts().items())
 
     def to_doc(self) -> dict:
         fmt = label_formatter()
@@ -209,22 +187,6 @@ def sphere(d: int) -> SimplicialComplex:
     return SimplicialComplex(itertools.combinations(verts, d + 1))
 
 
-def _relabel_disjoint(a, b):
-    if a.vertices & b.vertices:
-        return a.relabel(lambda v: (0, v)), b.relabel(lambda v: (1, v))
-    return a, b
-
-
-def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; the empty complex is the unit and is returned unchanged."""
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    a2, b2 = _relabel_disjoint(a, b)
-    return SimplicialComplex(fa | fb for fa in a2.facets for fb in b2.facets)
-
-
 def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
     """Join of disjoint copies of x, one per index, vertices (index, v).
 
@@ -238,15 +200,6 @@ def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
         facets.append(frozenset((i, v) for i, f in zip(idx, choice) for v in f))
     # joins of facets of disjoint copies are maximal and distinct
     return SimplicialComplex._known(facets, [(i, v) for i in idx for v in x._vertex_order()])
-
-
-def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    a2, b2 = _relabel_disjoint(a, b)
-    return SimplicialComplex(set(a2.facets) | set(b2.facets))
 
 
 class BettiVector:
@@ -286,11 +239,6 @@ class BettiVector:
                 counts[k] = counts.get(k, 0) + vi * vj
         return BettiVector(counts)
 
-    def as_row(self, start: int = 0, stop: int | None = None):
-        if stop is None:
-            stop = max(self._counts, default=start - 1)
-        return [self[k] for k in range(start, stop + 1)]
-
     def dominates(self, other: "BettiVector") -> bool:
         degs = set(self._counts) | set(other._counts)
         return all(self[k] >= other[k] for k in degs)
@@ -322,16 +270,6 @@ def boundary_columns(komplex: SimplicialComplex, k: int):
         {row_index[s[:i] + s[i + 1 :]]: 1 if i % 2 == 0 else -1 for i in range(len(s))}
         for s in by_dim.get(k, [])
     ]
-
-
-def boundary_rows(komplex: SimplicialComplex, k: int):
-    """The degree-k boundary matrix as sparse rows, with its column count."""
-    columns = boundary_columns(komplex, k)
-    rows = [dict() for _ in komplex._ranked().get(k - 1, [])]
-    for j, column in enumerate(columns):
-        for i, value in column.items():
-            rows[i][j] = value
-    return rows, len(columns)
 
 
 # The tracked part of every boundary pivot in a reduction table; elimination
@@ -407,14 +345,6 @@ class SimplicialMap:
     def image_simplex(self, s) -> frozenset:
         return frozenset(self.vertex_map[v] for v in s)
 
-    def then(self, other: "SimplicialMap") -> "SimplicialMap":
-        """Composition: first self, then other."""
-        if not self.target.is_subcomplex_of(other.source):
-            raise ValueError("maps not composable")
-        return SimplicialMap(
-            self.source, other.target, {v: other.vertex_map[self.vertex_map[v]] for v in self.vertex_map}
-        )
-
     def is_inclusion(self) -> bool:
         return all(self.vertex_map[v] == v for v in self.vertex_map)
 
@@ -443,7 +373,7 @@ class HomologyMap:
         self.target_betti = _betti(tgt)
         src_by_dim = f.source._ranked()
         tgt_by_dim = f.target._ranked()
-        tgt_rank = {v: i for i, v in enumerate(f.target._vertex_order())}
+        tgt_rank = f.target._rank_of
         image_rank = [tgt_rank[f.vertex_map[v]] for v in f.source._vertex_order()]
         self.matrices = {}
         for k in range(-1, max(f.source.dim, f.target.dim) + 1):
@@ -467,20 +397,11 @@ class HomologyMap:
                 cols.append(cycles[0])
             self.matrices[k] = [[-col.get(r, 0) for col in cols] for r in sorted(tgt_reps)]
 
-    def degrees(self):
-        return sorted(k for k in self.matrices)
-
     def matrix(self, k: int):
         return self.matrices.get(k, [])
 
     def is_surjective(self) -> bool:
         return all(_rank(m) == len(m) for m in self.matrices.values())
-
-    def is_injective(self) -> bool:
-        return all(_rank(m) == self.source_betti[k] for k, m in self.matrices.items())
-
-    def is_isomorphism(self) -> bool:
-        return self.source_betti == self.target_betti and self.is_injective()
 
 
 def homology_map(f: SimplicialMap) -> HomologyMap:

@@ -103,30 +103,9 @@ class FinitePoset:
             raise DiagramError(f"unknown element {a!r}")
         return b in self._up[a]
 
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
-
-    def up_set(self, x) -> frozenset:
-        if x not in self._up:
-            raise DiagramError(f"unknown element {x!r}")
-        return self._up[x]
-
-    def minimal_elements(self):
-        return tuple(x for x in self.elements if all(not self.lt(y, x) for y in self.elements))
-
-    def maximal_elements(self):
-        return tuple(x for x in self.elements if all(not self.lt(x, y) for y in self.elements))
-
     def covers(self) -> tuple:
         """Pairs (lower, upper) with nothing strictly between."""
         return self._covers
-
-    def restrict(self, subset) -> "FinitePoset":
-        keep = set(subset)
-        unknown = keep - set(self.elements)
-        if unknown:
-            raise DiagramError(f"unknown elements {sorted(map(repr, unknown))}")
-        return FinitePoset(keep, ((a, b) for a in keep for b in self._up[a] & keep))
 
     def __eq__(self, other):
         return (
@@ -199,12 +178,6 @@ class InclusionDiagram:
     def _hocolim(self) -> "Hocolim":
         gr = grothendieck_poset(self)
         return Hocolim(order_complex(gr), gr)
-
-    def restrict(self, subset) -> "InclusionDiagram":
-        keep = set(subset)
-        return InclusionDiagram(
-            self.poset.restrict(keep), {p: self.space_at[p] for p in keep}
-        )
 
     def __eq__(self, other):
         return (

@@ -153,11 +153,14 @@ def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram
 
 
 def _diagram(im: ImmersedMatroid, x: SimplicialComplex, flats, covers) -> InclusionDiagram:
-    """The diagram of ``build_diagram`` over ``flats``, ordered by ``covers``."""
+    """The diagram of ``build_diagram`` over ``flats``, ordered by ``covers``,
+    which must be exactly their cover relation: in a graded lattice, or an
+    up-set of one, the pairs one rank apart are the covers, so the poset
+    takes them as they are."""
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
     spaces = {f: copies_complex(x, im.immersion(f)) for f in flats}
-    return InclusionDiagram(FinitePoset(flats, covers), spaces)
+    return InclusionDiagram(FinitePoset._from_covers(sort_labels(flats), covers), spaces)
 
 
 @dataclass

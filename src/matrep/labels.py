@@ -3,12 +3,13 @@
 Ground-set elements, flats and complex vertices are drawn from ints,
 strings, tuples and frozensets, nested arbitrarily.  ``label_key`` is the
 one total order on them, so results are bit-identical across runs.  A
-simplicial complex keys its vertices once and sorts them; complexes cut
-from it inherit that order, and simplex orderings, boundary matrices and
-exports follow it without keying a vertex again.  Constructions hand their
-complexes and posets over already in this order: building T keys its
-flats and its template's vertices, never a vertex of T.  An export formats
-each distinct sub-label once (``label_formatter``).
+simplicial complex keys its vertices once and sorts them, and simplex
+orderings, boundary matrices and exports follow that order without keying
+a vertex again.  Constructions hand their complexes and posets over
+already in this order: building T keys its flats and its template's
+vertices, never a vertex of T, and T's subcomplexes over up-sets of flats
+take T's order.  An export formats each distinct sub-label once
+(``label_formatter``).
 """
 
 from __future__ import annotations

@@ -61,11 +61,17 @@ class NotSurjective(MatroidError):
     pass
 
 
+def _require_small(n: int) -> None:
+    """Refuse a ground set of n elements over ``MAX_ELEMENTS``, before
+    anything is built over its subsets."""
+    if n > MAX_ELEMENTS:
+        raise MatroidError(f"ground set has {n} elements, over the cap {MAX_ELEMENTS}")
+
+
 class Matroid:
     def __init__(self, elements, independents):
         elems = set(elements)
-        if len(elems) > MAX_ELEMENTS:
-            raise MatroidError(f"ground set has {len(elems)} elements, over the cap {MAX_ELEMENTS}")
+        _require_small(len(elems))
         if ZERO in elems:
             raise MatroidError(f"the label {ZERO!r} is reserved for the zero element")
         self.elements = tuple(sort_labels(elems))
@@ -195,9 +201,6 @@ class GeometricLattice:
     def join(self, p, q) -> frozenset:
         return self.matroid.closure(p | q)
 
-    def meet(self, p, q) -> frozenset:
-        return p & q
-
     def join_all(self, flats) -> frozenset:
         acc = frozenset()
         for f in flats:
@@ -214,9 +217,6 @@ class GeometricLattice:
                 (p, q) for p in self.flats for q in by_rank.get(self.rank_of[p] + 1, ()) if p < q
             )
         return self._covers
-
-    def up_set(self, p):
-        return tuple(f for f in self.flats if p <= f)
 
     def atoms_below(self, p):
         return tuple(a for a in self.atoms if a <= p)
@@ -240,9 +240,6 @@ class GeometricLattice:
             w[self.rank_of[f]] += abs(mu[f])
         return WhitneyVector(tuple(w))
 
-    def __len__(self):
-        return len(self.flats)
-
     def __repr__(self):
         return f"GeometricLattice({len(self.flats)} flats, rank {self.matroid.rank_total})"
 
@@ -255,9 +252,6 @@ class WhitneyVector:
 
     def __getitem__(self, k):
         return self.w[k]
-
-    def __len__(self):
-        return len(self.w)
 
     def dominates(self, other: "WhitneyVector") -> bool:
         """Degree by degree, a degree missing on one side counting as 0."""
@@ -283,6 +277,8 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def matroid_from_bases(elements, bases) -> Matroid:
+    elements = set(elements)
+    _require_small(len(elements))
     bases = [frozenset(b) for b in bases]
     if not bases:
         raise NotEquicardinal("at least one basis is required")
@@ -290,6 +286,8 @@ def matroid_from_bases(elements, bases) -> Matroid:
     for b in bases:
         if len(b) != size:
             raise NotEquicardinal(f"bases {set(bases[0])} and {set(b)} differ in size")
+        if not b <= elements:
+            raise UnknownElement(f"basis {set(b)} leaves the ground set")
     independents = set()
     for b in bases:
         for k in range(len(b) + 1):
@@ -306,6 +304,7 @@ def matroid_from_flats(elements, flats) -> Matroid:
     family as the flats of the result.
     """
     elems = frozenset(elements)
+    _require_small(len(elems))
     family = {frozenset(f) for f in flats}
     if elems not in family:
         raise NotIntersectionClosed("the ground set (empty intersection) must be a flat")
@@ -389,13 +388,6 @@ class SetMap:
     def is_surjective(self) -> bool:
         return self.image_set(self.source.elements) >= frozenset(self.target.elements)
 
-    def then(self, other: "SetMap") -> "SetMap":
-        if self.target != other.source:
-            raise MatroidError("maps not composable")
-        return SetMap(
-            self.source, other.target, {e: other.assignment[self.assignment[e]] for e in self.assignment}
-        )
-
 
 @dataclass(frozen=True)
 class MapClassification:
@@ -452,18 +444,6 @@ class FlatMap:
             self.source_lattice,
             other.target_lattice,
             {p: other.assignment[self.assignment[p]] for p in self.assignment},
-        )
-
-    def is_order_isomorphism(self) -> bool:
-        values = set(self.assignment.values())
-        if len(values) != len(self.assignment) or values != set(self.target_lattice.flats):
-            return False
-        inverse = {v: k for k, v in self.assignment.items()}
-        return all(
-            inverse[p] <= inverse[q]
-            for p in self.target_lattice.flats
-            for q in self.target_lattice.flats
-            if p <= q
         )
 
 

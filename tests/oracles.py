@@ -12,14 +12,22 @@ suspended join powers as built complexes rather than by Betti arithmetic,
 matroids of GF(p) matrices by ranking every set of columns, induced
 representation maps through a morphism of diagrams, free simplicial
 actions by testing every simplex, the arrangement of atom subcomplexes
-through the built subcomplexes and every pair of closed sets, and the
-geometric lattice axioms with joins as least upper bounds among the flats.
+through the built subcomplexes and every pair of closed sets, the
+geometric lattice axioms with joins as least upper bounds among the flats,
+and simplex membership through every face of every facet.
+
+The reference constructions below them (joins, disjoint unions, full
+subcomplexes, restricted posets and diagrams, composites of simplicial
+maps, the face diagram of a complex) build through the checking constructors what the library builds
+along known covers or as joins of copies.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from matrep.complexes import SimplicialComplex, SimplicialMap, boundary_columns
+from matrep.diagrams import FinitePoset, InclusionDiagram
 from matrep.labels import label_key, sort_labels
 from matrep.matroid import ZERO
 
@@ -81,10 +89,18 @@ def gf_rank(rows, ncols, p=997) -> int:
     return rank
 
 
+def boundary_rows(komplex, k: int):
+    """The degree-k boundary matrix as sparse rows, with its column count."""
+    columns = boundary_columns(komplex, k)
+    rows = [dict() for _ in komplex.simplices_by_dim().get(k - 1, [])]
+    for j, column in enumerate(columns):
+        for i, value in column.items():
+            rows[i][j] = value
+    return rows, len(columns)
+
+
 def betti_by_gf_rank(komplex) -> dict:
     """Reduced Betti numbers via the independent GF(p) rank above."""
-    from matrep.complexes import boundary_rows
-
     by_dim = komplex.simplices_by_dim()
     ranks = {}
     for k in range(0, komplex.dim + 1):
@@ -113,7 +129,11 @@ def maximal_chains_by_brute_force(poset) -> set:
 
 def covers_by_definition(poset) -> set:
     """Pairs a < b with no c strictly between, tested on every triple."""
-    elements, lt = poset.elements, poset.lt
+    elements = poset.elements
+
+    def lt(a, b):
+        return a != b and poset.leq(a, b)
+
     return {
         (a, b)
         for a in elements
@@ -125,10 +145,8 @@ def covers_by_definition(poset) -> set:
 def grothendieck_poset_by_definition(diagram):
     """Pairs (p, nonempty simplex s of D(p)), with (p, s) <= (q, t) exactly
     when p <= q and s is a face of t, tested on every pair of pairs."""
-    from matrep.diagrams import FinitePoset
-
     elements = [
-        (p, s) for p in diagram.poset.elements for s in diagram.space(p).nonempty_simplices()
+        (p, s) for p in diagram.poset.elements for s in nonempty_simplices(diagram.space(p))
     ]
     return FinitePoset.from_leq(
         elements, lambda a, b: diagram.poset.leq(a[0], b[0]) and a[1] <= b[1]
@@ -223,7 +241,7 @@ def to_doc_by_definition(komplex) -> dict:
 def layer_by_construction(x, e, k):
     """The k-fold suspension of the e-fold join power of x, built: the
     join of e copies of x with k copies of S^0."""
-    from matrep.complexes import copies_complex, join, sphere
+    from matrep.complexes import copies_complex, sphere
 
     return join(copies_complex(x, range(e)), copies_complex(sphere(0), range(k)))
 
@@ -249,7 +267,6 @@ def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
     to the flats other than the bottom, the flat map of tau (rerouted when
     it annihilates an atom) on the posets, and f_x applied copywise as one
     checked simplicial map per flat."""
-    from matrep.complexes import SimplicialMap
     from matrep.diagrams import DiagramMorphism, induced_map
     from matrep.engstrom import (
         NotAdmissible,
@@ -269,8 +286,8 @@ def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
     lat_m, lat_n = im_m.matroid.lattice(), im_n.matroid.lattice()
     if any(not l(p) <= lp(g(p)) for p in lat_m.flats if p != lat_m.bottom):
         raise NotAdmissible("the rerouted image violates the immersions")
-    d_m = build_diagram(im_m, x).restrict(p for p in lat_m.flats if p != lat_m.bottom)
-    d_n = build_diagram(im_n, y).restrict(p for p in lat_n.flats if p != lat_n.bottom)
+    d_m = restrict_diagram(build_diagram(im_m, x), [p for p in lat_m.flats if p != lat_m.bottom])
+    d_n = restrict_diagram(build_diagram(im_n, y), [p for p in lat_n.flats if p != lat_n.bottom])
     components = {}
     for p in d_m.poset.elements:
         space = d_m.space(p)
@@ -289,7 +306,7 @@ def check_simplicial_and_free_by_simplices(komplex, perm):
 
     simplices = [s for k, ss in komplex.simplices_by_dim().items() if k >= 0 for s in ss]
     images = [frozenset(map(perm.__getitem__, s)) for s in simplices]
-    universe = komplex.nonempty_simplices()
+    universe = nonempty_simplices(komplex)
     for s, image in zip(simplices, images):
         if image not in universe:
             raise NotSimplicial(f"permutation breaks simplex {list(s)}")
@@ -352,3 +369,79 @@ def geometric_lattice_violations(lattice) -> list:
         if join([a for a in lattice.atoms if a <= f]) != f:
             out.append(("atomistic", f))
     return out
+
+
+def nonempty_simplices(komplex) -> set:
+    """Every nonempty face of every facet, as a frozenset."""
+    return {
+        frozenset(face)
+        for f in komplex.facets
+        for k in range(1, len(f) + 1)
+        for face in itertools.combinations(f, k)
+    }
+
+
+def relabel_disjoint(a, b):
+    """Both complexes, each vertex v renamed (0, v) in a and (1, v) in b
+    when they share a vertex, as they are otherwise."""
+    if not a.vertices & b.vertices:
+        return a, b
+    return tuple(
+        SimplicialComplex(frozenset((i, v) for v in f) for f in c.facets) for i, c in enumerate((a, b))
+    )
+
+
+def join(a, b):
+    """Simplicial join; the empty complex is the unit and is returned unchanged."""
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    a2, b2 = relabel_disjoint(a, b)
+    return SimplicialComplex(fa | fb for fa in a2.facets for fb in b2.facets)
+
+
+def disjoint_union(a, b):
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    a2, b2 = relabel_disjoint(a, b)
+    return SimplicialComplex(set(a2.facets) | set(b2.facets))
+
+
+def full_subcomplex(komplex, keep_vertices):
+    """Subcomplex on the simplices entirely inside ``keep_vertices``."""
+    keep = frozenset(keep_vertices)
+    return SimplicialComplex(f & keep for f in komplex.facets)
+
+
+def restrict_poset(poset, subset):
+    """The induced subposet on ``subset``, closed from every pair."""
+    keep = set(subset)
+    return FinitePoset(keep, ((a, b) for a in keep for b in keep if poset.leq(a, b)))
+
+
+def restrict_diagram(diagram, subset):
+    """The diagram over the induced subposet on ``subset``."""
+    keep = set(subset)
+    return InclusionDiagram(restrict_poset(diagram.poset, keep), {p: diagram.space(p) for p in keep})
+
+
+def compose(f, g):
+    """The simplicial map first f, then g."""
+    assert f.target.is_subcomplex_of(g.source), "maps not composable"
+    return SimplicialMap(f.source, g.target, {v: g(f(v)) for v in f.source.vertices})
+
+
+def two_triangle_complex():
+    """Two triangles glued along an edge; contractible."""
+    return SimplicialComplex([(1, 2, 3), (1, 3, 4)])
+
+
+def face_diagram(komplex):
+    """The diagram over the face poset (reverse inclusion) whose colimit
+    glues the closed simplices back into the complex."""
+    faces = sorted(nonempty_simplices(komplex), key=lambda s: (len(s), sorted(s)))
+    poset = FinitePoset.from_leq(faces, lambda a, b: b <= a)
+    return InclusionDiagram(poset, {f: SimplicialComplex([f]) for f in faces})

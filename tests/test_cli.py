@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,25 @@ def test_info_refuses_oversized_ground_set(capsys):
     code, report = run_cli(capsys, "info", "U3,40")
     assert code == 3 and report is None
     assert "40" in run_cli.last_err and str(MAX_ELEMENTS) in run_cli.last_err
+
+
+GROUND_30 = [str(i) for i in range(30)]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"elements": GROUND_30, "bases": [GROUND_30]}, {"elements": GROUND_30, "flats": [[], GROUND_30]}],
+    ids=["bases", "flats"],
+)
+def test_oversized_documents_are_refused_before_subsets(tmp_path, capsys, doc):
+    # each would otherwise enumerate 2^30 subsets before the cap is checked
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "info", str(path))
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert "30 elements" in run_cli.last_err and str(MAX_ELEMENTS) in run_cli.last_err
 
 
 def test_info_report_deterministic(capsys):
@@ -81,6 +101,43 @@ def test_malformed_document_exit_code(tmp_path, capsys):
     assert "line" in run_cli.last_err
     code, _ = run_cli(capsys, "info", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+MATROID_DOC = {"elements": ["1", "2"], "bases": [["1"], ["2"]]}
+MAP_DOC = {"source": "U1,2", "target": "U1,2", "assignment": {"1": "2", "2": "1", "o": "o"}}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("betti", {"vertices": ["1"]}),
+        ("betti", {"facets": [[1.5, 2]]}),
+        ("betti", {"facets": [[True, 2]]}),
+        ("betti", {"facets": [["1"]], "vertices": [["1"]]}),
+        ("betti", {"facets": 3}),
+        ("betti", [["1", "2"]]),
+        ("info", [1, 2]),
+        ("info", {"elements": ["1"], "bases": [GROUND_30]}),
+        ("info", dict(MATROID_DOC, elements=[1.5, 2])),
+        ("info", dict(MATROID_DOC, elements=[True, "2"])),
+        ("info", dict(MATROID_DOC, bases=[[["1"]]])),
+        ("info", dict(MATROID_DOC, bases=5)),
+        ("info", dict(MATROID_DOC, rho=[2])),
+        ("info", dict(MATROID_DOC, rho=2, immersion=[{"flat": []}])),
+        ("info", dict(MATROID_DOC, rho=2, immersion=[[[], [1, 2]]])),
+        ("info", dict(MATROID_DOC, rho=2, immersion=[{"flat": [[]], "bits": [1, 2]}])),
+        ("check-map", [MAP_DOC]),
+        ("check-map", dict(MAP_DOC, source=["U1,2"])),
+        ("check-map", dict(MAP_DOC, assignment=[["1", "2"]])),
+        ("check-map", dict(MAP_DOC, assignment={"1": ["2"], "2": "1"})),
+    ],
+)
+def test_malformed_documents_exit_3_naming_the_file(tmp_path, capsys, command, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 3 and report is None
+    assert str(path) in run_cli.last_err
 
 
 def test_document_requires_one_family(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from matrep.catalog import contrast_diagrams, face_diagram, two_triangle_complex
+from matrep.catalog import contrast_diagrams
 from matrep.complexes import (
     BettiVector,
     SimplicialComplex,
@@ -30,11 +30,17 @@ from matrep.diagrams import (
 from matrep.labels import sort_labels
 
 from oracles import (
+    compose,
     covers_by_definition,
+    face_diagram,
+    full_subcomplex,
     grothendieck_poset_by_definition,
     maximal_chains_by_brute_force,
+    restrict_diagram,
+    restrict_poset,
     simplices_by_definition,
     to_doc_by_definition,
+    two_triangle_complex,
 )
 
 
@@ -55,12 +61,13 @@ def test_poset_axioms():
 
 def test_poset_queries():
     p = FinitePoset(["p", "q", "q2"], [("q", "p"), ("q2", "p")])
-    assert p.up_set("q") == frozenset({"q", "p"})
-    assert set(p.minimal_elements()) == {"q", "q2"}
-    assert p.maximal_elements() == ("p",)
+    assert {x for x in p.elements if p.leq("q", x)} == {"q", "p"}
+    below = {x: {y for y in p.elements if y != x and p.leq(y, x)} for x in p.elements}
+    assert {x for x in p.elements if not below[x]} == {"q", "q2"}
+    assert {x for x in p.elements if all(x not in below[y] for y in p.elements)} == {"p"}
     assert sorted(p.covers()) == [("q", "p"), ("q2", "p")]
     assert p.covers() is p.covers()
-    restricted = p.restrict({"q", "q2"})
+    restricted = restrict_poset(p, {"q", "q2"})
     assert not restricted.leq("q", "q2")
 
 
@@ -111,7 +118,8 @@ def random_inclusion_diagrams(draw):
     )
     removed = {p: draw(st.frozensets(st.sampled_from(sorted(vertices)))) for p in poset.elements}
     spaces = {
-        p: komplex.full_subcomplex(
+        p: full_subcomplex(
+            komplex,
             vertices.difference(*(removed[q] for q in poset.elements if poset.leq(q, p)))
         )
         for p in poset.elements
@@ -160,7 +168,7 @@ def test_vertex_order_matches_label_key_sort(komplex, data):
     that inherits its vertex order, equal those sorted through label_key."""
     verts = sort_labels(komplex.vertices)
     kept = data.draw(st.lists(st.booleans(), min_size=len(verts), max_size=len(verts)))
-    sub = komplex.full_subcomplex(v for v, keep in zip(verts, kept) if keep)
+    sub = full_subcomplex(komplex, (v for v, keep in zip(verts, kept) if keep))
     for each in (komplex, sub):
         assert each.simplices_by_dim() == simplices_by_definition(each)
         assert each.to_doc() == to_doc_by_definition(each)
@@ -187,9 +195,9 @@ def test_trusted_grothendieck_poset_equals_checked_one(diagram, data):
     assert hc.complex == SimplicialComplex(hc.complex.facets)
     if diagram.poset.elements:
         least = data.draw(st.sampled_from(diagram.poset.elements))
-        upset = diagram.poset.up_set(least)
+        upset = {p for p in diagram.poset.elements if diagram.poset.leq(least, p)}
         sub = hc.over_upset(lambda p: p in upset)
-        cut = hc.complex.full_subcomplex(v for v in hc.complex.vertices if v[0] in upset)
+        cut = full_subcomplex(hc.complex, (v for v in hc.complex.vertices if v[0] in upset))
         assert sub == cut
         assert sub._vertex_order() == cut._vertex_order()
 
@@ -212,7 +220,7 @@ def test_trusted_complexes_equal_checked_ones(poset, x, indices):
 
 def test_inclusion_diagram_validation():
     p = chain_poset(2)
-    good = InclusionDiagram(p, {0: sphere(1), 1: sphere(1).full_subcomplex({0, 1})})
+    good = InclusionDiagram(p, {0: sphere(1), 1: full_subcomplex(sphere(1), {0, 1})})
     assert good.space(1).is_subcomplex_of(good.space(0))
     with pytest.raises(NotInclusionDiagram):
         InclusionDiagram(p, {0: sphere(1), 1: SimplicialComplex([("x",)])})
@@ -263,7 +271,7 @@ def test_contrast_morphism_induces_h2_isomorphism():
     _, _, morphism = contrast_diagrams()
     hm = homology_map(induced_map(morphism))
     assert hm.matrix(2) == [[1]]
-    assert hm.is_isomorphism()
+    assert hm.source_betti == hm.target_betti == bv({2: 1})
 
 
 def test_face_diagram_colim_reconstructs_complex():
@@ -275,10 +283,10 @@ def test_face_diagram_colim_reconstructs_complex():
 
 def test_restrict_diagram():
     first, _, _ = contrast_diagrams()
-    assert first.restrict(first.poset.elements) == first
-    only_top = first.restrict({"p"})
+    assert restrict_diagram(first, first.poset.elements) == first
+    only_top = restrict_diagram(first, {"p"})
     assert reduced_betti(hocolim(only_top).complex) == bv({1: 1})
-    empty = first.restrict(())
+    empty = restrict_diagram(first, ())
     assert hocolim(empty).complex.is_empty
 
 
@@ -307,7 +315,7 @@ def test_induced_map_respects_composition():
         first,
         second,
         dict(morphism.poset_map),
-        {p: morphism.components[p].then(ident.components[morphism.poset_map[p]]) for p in first.poset.elements},
+        {p: compose(morphism.components[p], ident.components[morphism.poset_map[p]]) for p in first.poset.elements},
     )
     assert induced_map(composed).vertex_map == {
         v: induced_map(ident).vertex_map[one.vertex_map[v]] for v in one.source.vertices

@@ -60,8 +60,10 @@ from oracles import (
     arrangement_matches_lattice_by_definition,
     check_simplicial_and_free_by_simplices,
     closed_atom_sets_by_subcomplexes,
+    full_subcomplex,
     induced_map_by_morphism,
     matroid_of_columns,
+    restrict_diagram,
 )
 
 
@@ -168,7 +170,7 @@ def test_atom_subcomplex_is_upset_hocolim():
     diagram = build_diagram(im, sphere(0))
     lat = im.matroid.lattice()
     atom = lat.atoms[0]
-    restricted = hocolim(diagram.restrict(lat.up_set(atom)))
+    restricted = hocolim(restrict_diagram(diagram, [f for f in lat.flats if atom <= f]))
     assert restricted.complex == rep.atom_subcomplexes[atom]
 
 
@@ -183,7 +185,7 @@ def test_representation_equals_cut_from_whole_lattice():
         hc = hocolim(build_diagram(im, template))
 
         def cut(keep):
-            return hc.complex.full_subcomplex(v for v in hc.complex.vertices if keep(v[0]))
+            return full_subcomplex(hc.complex, (v for v in hc.complex.vertices if keep(v[0])))
 
         assert rep.T == cut(lambda p: p != lat.bottom), name
         for a in lat.atoms:
@@ -191,7 +193,7 @@ def test_representation_equals_cut_from_whole_lattice():
             assert sub == cut(lambda p: a <= p), name
             # built along the covers of its up-set, it must also be T's cut,
             # vertex order included
-            t_cut = rep.T.full_subcomplex(v for v in rep.T.vertices if a <= v[0])
+            t_cut = full_subcomplex(rep.T, (v for v in rep.T.vertices if a <= v[0]))
             assert sub == t_cut and sub._vertex_order() == t_cut._vertex_order(), name
         for f in lat.flats:
             if f != lat.bottom:
