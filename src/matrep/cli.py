@@ -100,10 +100,21 @@ def _labels(value, what: str) -> list:
     return value
 
 
+def _printed_apart(labels: list, what: str) -> list:
+    """``labels``, refused if two different ones print alike, as 1 and "1"
+    do: reports and exports could not tell them apart."""
+    seen = {}
+    for label in labels:
+        name = format_label(label)
+        if seen.setdefault(name, label) != label:
+            raise InputError(f"{what} has labels {seen[name]!r} and {label!r}, which both print as {name}")
+    return labels
+
+
 def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
     if "elements" not in doc:
         raise InputError("matroid document needs an 'elements' field")
-    elements = _labels(doc["elements"], "'elements'")
+    elements = _printed_apart(_labels(doc["elements"], "'elements'"), "'elements'")
     kinds = [k for k in ("bases", "independents", "flats") if k in doc]
     if len(kinds) != 1:
         raise InputError("matroid document needs exactly one of bases/independents/flats")
@@ -129,8 +140,10 @@ def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
     for entry in _list(doc["immersion"], "'immersion'"):
         if not isinstance(entry, dict) or not {"flat", "bits"} <= entry.keys():
             raise InputError("each immersion entry needs a 'flat' and its 'bits'")
-        bits = _labels(entry["bits"], "'bits'")
-        mapping[frozenset(_labels(entry["flat"], "'flat'"))] = frozenset(map(int, bits))
+        bits = _list(entry["bits"], "'bits'")
+        if any(type(b) is not int for b in bits):
+            raise InputError("'bits' must hold only integers")
+        mapping[frozenset(_labels(entry["flat"], "'flat'"))] = frozenset(bits)
     return matroid, Immersion.from_dict(matroid, rho, mapping)
 
 

@@ -20,7 +20,6 @@ poset, so no chain is cut or tested for maximality.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, SimplicialMap
 from .labels import sort_labels
@@ -171,6 +170,20 @@ class InclusionDiagram:
                     f"complex at {upper!r} is not a subcomplex of the one at {lower!r}"
                 )
 
+    @classmethod
+    def _known(cls, poset: FinitePoset, space_at) -> "InclusionDiagram":
+        """The diagram with the complexes ``space_at`` over ``poset``, with
+        nothing checked.
+
+        ``space_at`` must give a complex at every element of ``poset``, the
+        one at each upper cover a subcomplex of the one below it, as a
+        construction that knows its inclusions hands them over.
+        """
+        diagram = cls.__new__(cls)
+        diagram.poset = poset
+        diagram.space_at = dict(space_at)
+        return diagram
+
     def space(self, p) -> SimplicialComplex:
         return self.space_at[p]
 
@@ -221,14 +234,14 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
     return FinitePoset._from_covers(elements, covers)
 
 
-@dataclass
 class Hocolim:
     """The order complex of a diagram's Grothendieck poset, kept with that
     poset.  Each vertex is a pair (p, simplex of D(p)), so its diagram
     element is its first entry."""
 
-    complex: SimplicialComplex
-    poset: FinitePoset
+    def __init__(self, complex: SimplicialComplex, poset: FinitePoset):
+        self.complex = complex
+        self.poset = poset
 
     def over_upset(self, keep) -> SimplicialComplex:
         """The full subcomplex on the vertices (p, s) with ``keep(p)``,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .complexes import (
     BettiVector,
@@ -49,13 +48,13 @@ class NotFree(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Immersion:
     """An assignment of subsets of {1..rho} to flats; see validate_immersion."""
 
-    matroid: Matroid
-    rho: int
-    assignment: tuple  # sorted ((flat, frozenset-of-indices), ...) pairs
+    def __init__(self, matroid: Matroid, rho: int, assignment: tuple):
+        self.matroid = matroid
+        self.rho = rho
+        self.assignment = assignment  # sorted ((flat, frozenset-of-indices), ...) pairs
 
     @classmethod
     def from_dict(cls, matroid: Matroid, rho: int, mapping) -> "Immersion":
@@ -76,6 +75,17 @@ class Immersion:
 
     def __call__(self, flat) -> frozenset:
         return self._mapping[frozenset(flat)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Immersion)
+            and self.matroid == other.matroid
+            and self.rho == other.rho
+            and self.assignment == other.assignment
+        )
+
+    def __hash__(self):
+        return hash((self.matroid, self.rho, self.assignment))
 
 
 def canonical_immersion(matroid: Matroid, rho: int) -> Immersion:
@@ -109,17 +119,17 @@ def validate_immersion(immersion: Immersion):
     return True, None
 
 
-@dataclass(frozen=True)
 class ImmersedMatroid:
-    matroid: Matroid
-    immersion: Immersion
+    """A matroid with an immersion of it, checked by validate_immersion."""
 
-    def __post_init__(self):
-        if self.immersion.matroid != self.matroid:
+    def __init__(self, matroid: Matroid, immersion: Immersion):
+        if immersion.matroid != matroid:
             raise InvalidImmersion("immersion belongs to a different matroid")
-        ok, witness = validate_immersion(self.immersion)
+        ok, witness = validate_immersion(immersion)
         if not ok:
             raise InvalidImmersion(witness)
+        self.matroid = matroid
+        self.immersion = immersion
 
     @property
     def rho(self) -> int:
@@ -156,14 +166,19 @@ def _diagram(im: ImmersedMatroid, x: SimplicialComplex, flats, covers) -> Inclus
     """The diagram of ``build_diagram`` over ``flats``, ordered by ``covers``,
     which must be exactly their cover relation: in a graded lattice, or an
     up-set of one, the pairs one rank apart are the covers, so the poset
-    takes them as they are."""
+    takes them as they are.
+
+    Its inclusions are not checked: for a cover p < q the validated
+    immersion has l(q) contained in l(p), and a join of copies of a
+    nonempty x over fewer indices is a subcomplex of the join over more,
+    each of its facets lying in a facet of the larger join.
+    """
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
     spaces = {f: copies_complex(x, im.immersion(f)) for f in flats}
-    return InclusionDiagram(FinitePoset._from_covers(sort_labels(flats), covers), spaces)
+    return InclusionDiagram._known(FinitePoset._from_covers(sort_labels(flats), covers), spaces)
 
 
-@dataclass
 class Representation:
     """T as the hocolim over the lattice minus its bottom.
 
@@ -173,10 +188,11 @@ class Representation:
     when first read, and so is Y, the hocolim over the whole lattice.
     """
 
-    immersed: ImmersedMatroid
-    template: SimplicialComplex
-    hocolim: Hocolim
-    _upsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex, hocolim: Hocolim):
+        self.immersed = immersed
+        self.template = template
+        self.hocolim = hocolim
+        self._upsets = {}
 
     @property
     def T(self) -> SimplicialComplex:
@@ -525,15 +541,22 @@ def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     return True
 
 
-@dataclass
 class XArrangementReport:
     """Betti- and dimension-level checks of the covering-family conditions."""
 
-    d: int
-    total_space_ok: bool
-    atom_spaces_ok: dict
-    intersections_ok: dict
-    codimension_drops_ok: dict
+    def __init__(
+        self,
+        d: int,
+        total_space_ok: bool,
+        atom_spaces_ok: dict,
+        intersections_ok: dict,
+        codimension_drops_ok: dict,
+    ):
+        self.d = d
+        self.total_space_ok = total_space_ok
+        self.atom_spaces_ok = atom_spaces_ok
+        self.intersections_ok = intersections_ok
+        self.codimension_drops_ok = codimension_drops_ok
 
     @property
     def all_pass(self) -> bool:

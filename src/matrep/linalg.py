@@ -11,12 +11,12 @@ that reduces to zero yields the combination of inputs that cancels: a cycle.
 Values are ints or ``Fraction``s and every operation is exact.  Stored
 pivot columns are scaled to a pivot entry of 1, so elimination needs no
 division and stays in ints wherever the pivots are +-1, as they are on
-boundary matrices in practice.
+boundary matrices in practice.  ``fractions`` is therefore imported only
+at the first pivot that is not +-1, and importing the package does not
+load it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def reduce_columns(columns, pivots=None, cleared=()):
@@ -54,7 +54,12 @@ def reduce_columns(columns, pivots=None, cleared=()):
             continue
         entry = column[low]
         if entry != 1:
-            scale = -1 if entry == -1 else 1 / Fraction(entry)
+            if entry == -1:
+                scale = -1
+            else:
+                from fractions import Fraction
+
+                scale = 1 / Fraction(entry)
             for other in (column, tracked):
                 for row in other:
                     other[row] *= scale

@@ -14,7 +14,6 @@ participates in rank computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .labels import label_key, sort_labels
 
@@ -244,11 +243,11 @@ class GeometricLattice:
         return f"GeometricLattice({len(self.flats)} flats, rank {self.matroid.rank_total})"
 
 
-@dataclass(frozen=True)
 class WhitneyVector:
     """Whitney numbers of the first kind, w[k] = sum of |mu| over rank-k flats."""
 
-    w: tuple
+    def __init__(self, w: tuple):
+        self.w = w
 
     def __getitem__(self, k):
         return self.w[k]
@@ -389,12 +388,16 @@ class SetMap:
         return self.image_set(self.source.elements) >= frozenset(self.target.elements)
 
 
-@dataclass(frozen=True)
 class MapClassification:
-    is_weak: bool
-    is_strong: bool
-    is_surjective: bool
-    is_non_annihilating: bool
+    """What ``classify_map`` found about a map of ground sets."""
+
+    def __init__(
+        self, is_weak: bool, is_strong: bool, is_surjective: bool, is_non_annihilating: bool
+    ):
+        self.is_weak = is_weak
+        self.is_strong = is_strong
+        self.is_surjective = is_surjective
+        self.is_non_annihilating = is_non_annihilating
 
 
 def classify_map(f: SetMap) -> MapClassification:

@@ -130,6 +130,7 @@ MAP_DOC = {"source": "U1,2", "target": "U1,2", "assignment": {"1": "2", "2": "1"
         ("check-map", dict(MAP_DOC, source=["U1,2"])),
         ("check-map", dict(MAP_DOC, assignment=[["1", "2"]])),
         ("check-map", dict(MAP_DOC, assignment={"1": ["2"], "2": "1"})),
+        ("info", dict(MATROID_DOC, rho=1, immersion=[{"flat": [], "bits": ["x"]}])),
     ],
 )
 def test_malformed_documents_exit_3_naming_the_file(tmp_path, capsys, command, doc):
@@ -138,6 +139,16 @@ def test_malformed_documents_exit_3_naming_the_file(tmp_path, capsys, command, d
     code, report = run_cli(capsys, command, str(path))
     assert code == 3 and report is None
     assert str(path) in run_cli.last_err
+
+
+def test_labels_that_print_alike_are_refused(tmp_path, capsys):
+    doc = {"elements": [1, "1"], "independents": [[], [1], ["1"], [1, "1"]]}
+    path = tmp_path / "alike.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "info", str(path))
+    assert code == 3 and report is None
+    assert str(path) in run_cli.last_err
+    assert "1 and '1'" in run_cli.last_err
 
 
 def test_document_requires_one_family(tmp_path, capsys):

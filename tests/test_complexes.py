@@ -145,13 +145,37 @@ def test_prime_field_fast_path_matches_rationals():
             assert len(pivots) == gf_rank(rows, ncols)
 
 
-def test_import_leaves_numpy_unloaded():
+def test_reduce_columns_scales_non_unit_pivots_exactly():
+    """Pivot entries 2 and -3 are scaled to 1 by exact Fractions, in the
+    column and in its tracked part, and a later column reduces to zero
+    against them, leaving its cycle."""
+    columns = [
+        ({0: 1, 3: 2}, {0: 1}),
+        ({1: 6, 2: -3}, {1: 1}),
+        ({0: 2, 3: 4}, {5: 1}),
+    ]
+    pivots, cycles = linalg.reduce_columns(columns)
+    assert pivots == {
+        3: ({0: Fraction(1, 2), 3: 1}, {0: Fraction(1, 2)}),
+        2: ({1: -2, 2: 1}, {1: Fraction(-1, 3)}),
+    }
+    for column, tracked in pivots.values():
+        assert all(type(v) is Fraction for v in [*column.values(), *tracked.values()])
+    assert cycles == {2: {5: 1, 0: -2}}
+
+
+def test_import_loads_no_unneeded_modules():
+    """``import matrep`` loads neither numpy nor the stdlib modules the
+    package does without: ``dataclasses`` (which loads ``inspect``), and
+    ``fractions``, which the kernel imports at its first non-unit pivot."""
     src = str(Path(matrep.__file__).resolve().parents[1])
+    unneeded = ["numpy", "dataclasses", "inspect", "fractions"]
+    probe = f"import sys, matrep; print([m for m in {unneeded!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, matrep; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_euler_characteristic_matches_betti():

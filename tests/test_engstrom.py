@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matrep import complexes, diagrams, labels, matroid
@@ -355,6 +355,47 @@ def test_random_gf2_matroids_construction_equals_formula(columns):
     rep = build_representation(im, x)
     assert reduced_betti(rep.T) == expected_betti(im, x)
     assert arrangement_matches_lattice(rep)
+
+
+@st.composite
+def random_immersions(draw):
+    """Column matroids of random GF(2) matrices, immersed at rho = rank to
+    rank + 2 flat by flat from the top down: each flat gets the union of
+    the values at its upper covers, padded with randomly chosen bits."""
+    m = matroid_of_columns(draw(GF2_COLUMNS), p=2)
+    lat = m.lattice()
+    rho = m.rank_total + draw(st.integers(min_value=0, max_value=2))
+    above = {f: [] for f in lat.flats}
+    for p, q in lat.covers():
+        above[p].append(q)
+    value = {}
+    for f in sorted(lat.flats, key=lambda f: -lat.rank_of[f]):
+        required = frozenset().union(*(value[q] for q in above[f]))
+        size = rho - lat.rank_of[f]
+        assume(len(required) <= size)
+        extra = [i for i in draw(st.permutations(range(1, rho + 1))) if i not in required]
+        value[f] = required | frozenset(extra[: size - len(required)])
+    return ImmersedMatroid(m, Immersion.from_dict(m, rho, value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    im=random_immersions(),
+    x=st.sampled_from([sphere(0), sphere(1), SimplicialComplex([(0, 1), (2,)])]),
+)
+def test_build_diagram_covers_are_inclusions(im, x):
+    """``build_diagram`` does not check its inclusions; they hold."""
+    diagram = build_diagram(im, x)
+    for lower, upper in diagram.poset.covers():
+        assert diagram.space(upper).is_subcomplex_of(diagram.space(lower))
+
+
+def test_representation_trusts_its_inclusions(monkeypatch):
+    monkeypatch.setattr(
+        SimplicialComplex, "is_subcomplex_of", lambda self, other: pytest.fail("checked an inclusion")
+    )
+    rep = build_representation(immersed(uniform(3, 4)), sphere(0))
+    assert reduced_betti(rep.T) == bv({1: 13})
 
 
 def test_arrangement_matches_lattice_catalog():
