@@ -30,7 +30,6 @@ from .complexes import (
 )
 from .diagrams import colim, hocolim
 from .engstrom import (
-    ImmersedMatroid,
     Immersion,
     arrangement_matches_lattice,
     build_representation,
@@ -169,9 +168,9 @@ def resolve_matroid(name_or_path: str) -> tuple[Matroid, Immersion | None]:
 def complex_from_doc(doc: dict) -> SimplicialComplex:
     """The complex of a document whose labels are checked here: the complex
     keys them only when it first sorts them."""
-    for facet in _list(doc.get("facets"), "a complex document's 'facets'"):
-        _labels(facet, "each facet")
-    _labels(doc.get("vertices", []), "'vertices'")
+    facets = _list(doc.get("facets"), "a complex document's 'facets'")
+    labels = [v for facet in facets for v in _labels(facet, "each facet")]
+    _printed_apart(labels + _labels(doc.get("vertices", []), "'vertices'"), "the complex")
     return SimplicialComplex.from_doc(doc)
 
 
@@ -298,11 +297,7 @@ def cmd_check_map(args, started) -> int:
 def cmd_represent(args, started) -> int:
     matroid, doc_immersion = resolve_matroid(args.matroid)
     template = resolve_complex(args.template)
-    if doc_immersion is not None and args.rho is None:
-        im = ImmersedMatroid(matroid, doc_immersion)
-    else:
-        rho = matroid.rank_total if args.rho is None else args.rho
-        im = ImmersedMatroid(matroid, canonical_immersion(matroid, rho))
+    im = immersed(matroid, args.rho, doc_immersion if args.rho is None else None)
     rep = build_representation(im, template)
     constructed = reduced_betti(rep.T)
     expected = expected_betti(im, template)

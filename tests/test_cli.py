@@ -151,6 +151,17 @@ def test_labels_that_print_alike_are_refused(tmp_path, capsys):
     assert "1 and '1'" in run_cli.last_err
 
 
+@pytest.mark.parametrize("doc", [{"facets": [[1], ["1"]]}, {"facets": [[1]], "vertices": ["1"]}])
+def test_complex_labels_that_print_alike_are_refused(tmp_path, capsys, doc):
+    path = tmp_path / "alike.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "T.json"
+    code, report = run_cli(capsys, "represent", "U2,3", str(path), "--out", str(out))
+    assert code == 3 and report is None and not out.exists()
+    assert str(path) in run_cli.last_err
+    assert "1 and '1'" in run_cli.last_err
+
+
 def test_document_requires_one_family(tmp_path, capsys):
     doc = {"name": "x", "elements": ["a"], "bases": [["a"]], "flats": [[]]}
     path = tmp_path / "double.json"

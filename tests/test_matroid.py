@@ -105,6 +105,51 @@ def test_exchange_checked_on_consecutive_sizes(drawn):
     assert info.value.witness in failures
 
 
+def subset_closed_families_on(n):
+    """Every nonempty subset-closed family of subsets of range(n): each mask,
+    in increasing order, is dropped or kept, and kept only where every mask
+    one smaller was kept."""
+    families = [[]]
+    for m in range(1 << n):
+        below = [m ^ (1 << i) for i in range(n) if m >> i & 1]
+        families += [f + [m] for f in families if all(b in f for b in below)]
+    return [{frozenset(i for i in range(n) if m >> i & 1) for m in f} for f in families if f]
+
+
+def test_axioms_checked_on_every_small_subset_closed_family():
+    accepted = []
+    for n in range(5):
+        families = subset_closed_families_on(n)
+        assert len(families) == [1, 2, 5, 19, 167][n]
+        count = 0
+        for family in families:
+            failures = exchange_failures_by_definition(family)
+            if not failures:
+                assert Matroid(range(n), family).independents == family
+                count += 1
+                continue
+            with pytest.raises(ExchangeFailure) as info:
+                Matroid(range(n), family)
+            assert info.value.witness in failures
+        accepted.append(count)
+    assert accepted == [1, 2, 5, 16, 68]  # labeled matroids, OEIS A058673
+
+
+def test_exchange_witness_at_the_cap():
+    with pytest.raises(ExchangeFailure) as info:
+        matroid_from_bases(range(1, 13), [range(1, 7), range(7, 13)])
+    family = down_closure([range(1, 7), range(7, 13)])
+    assert len(family) == 127
+    assert info.value.witness in exchange_failures_by_definition(family)
+
+
+@pytest.mark.parametrize("family", [[(1, 2)], [(), (1, 2)], [(), (1,), (1, 2)]])
+def test_family_must_hold_the_empty_set_and_be_subset_closed(family):
+    with pytest.raises(MatroidError) as info:
+        Matroid([1, 2], family)
+    assert type(info.value) is MatroidError
+
+
 def test_zero_label_is_reserved():
     with pytest.raises(MatroidError):
         Matroid(["o", "a"], [(), ("a",)])
