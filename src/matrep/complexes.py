@@ -16,6 +16,14 @@ labels are put back only for callers that ask for them
 and their vertices sorted (order complexes of posets, joins of copies of a
 complex) hand both to a private constructor that keeps them as given, so
 they filter no facet list and key no vertex.
+
+Reduced Betti numbers come from one top-down column reduction with
+clearing.  A complex built as a hocolim (T, its up-set complexes, Y)
+carries its prodsimplicial cell model from ``diagrams``, with far fewer
+cells than it has simplices, and ``reduced_betti`` reduces that model; it
+reduces the simplices of every other complex, and of a hocolim whose
+simplicial reduction is already cached.  ``HomologyMap`` always reduces
+the simplices, which give canonical homology bases.
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ class SimplicialComplex:
     _simplices = None
     _simplex_set = None
     _reduction = None
+    # set by constructions that know a smaller model with the same homology
+    # (hocolims, see ``diagrams``): a function returning its cells per
+    # degree and their boundary, in the form ``_reduce_down`` takes
+    _cells = None
+    _cell_betti = None
 
     def __init__(self, facets=()):
         self._facets = _maximal_faces(facets)
@@ -257,37 +270,59 @@ class BettiVector:
         return "BettiVector({" + inner + "})"
 
 
-def boundary_columns(komplex: SimplicialComplex, k: int):
-    """Degree-k boundary matrix as sparse columns, one per k-simplex.
-
-    Rows index the (k-1)-simplices in sorted order.  Degree 0 is the
-    augmentation onto the empty simplex, so reduced homology comes out of
-    the same machinery as every other degree.
-    """
-    by_dim = komplex._ranked()
-    row_index = {s: i for i, s in enumerate(by_dim.get(k - 1, []))}
-    return [
-        {row_index[s[:i] + s[i + 1 :]]: 1 if i % 2 == 0 else -1 for i in range(len(s))}
-        for s in by_dim.get(k, [])
-    ]
+def _simplex_boundary(s, row) -> dict:
+    """The boundary of a simplex of rank tuples as a sparse column over the
+    indices ``row`` of the simplices one dimension down; a vertex's
+    boundary is the empty simplex."""
+    return {row[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
 
 
-# The tracked part of every boundary pivot in a reduction table; elimination
-# only reads a pivot's parts, so one read-only mapping serves them all.
+# The tracked part of every column reduced for its rank only, and of every
+# boundary pivot in a reduction table; elimination only reads a pivot's
+# parts, so one read-only mapping serves them all.
 _UNTRACKED = types.MappingProxyType({})
 
 
-def _reduction(komplex: SimplicialComplex) -> dict:
-    """Degree -> (pivots, cycles) of the complex, computed once per object.
+def _reduce_down(cells: dict, boundary, track: bool) -> dict:
+    """Degree -> (pivots, cycles) of the augmented chain complex whose
+    k-cells are listed in ``cells[k]``, degree -1 holding the one empty
+    cell, and in which ``boundary(c, row)`` is the boundary of a k-cell c
+    as a sparse column over the indices ``row`` of the (k-1)-cells.
 
     The boundary matrices are reduced from the top degree down with
     clearing (Chen-Kerber, "Persistent homology computation with a twist",
-    2011): a k-simplex that is the pivot of a reduced (k+1)-column has a
-    column that reduces to zero, so it is skipped.  The k-columns that
-    reduce to zero and are not cleared index the homology basis, and
-    ``cycles`` maps each to its tracked column, a representative cycle with
-    entry 1 at that index.  Following the sorted simplex order makes the
-    basis canonical: equal complexes get equal representatives.
+    2011): a k-cell that is the pivot of a reduced (k+1)-column has a
+    column that reduces to zero, so that column is never built.
+    ``pivots`` holds the reduced (k+1)-columns by pivot, and ``cycles``
+    maps the index of each k-cell whose column reduces to zero and is not
+    cleared to its tracked column: with ``track``, a cycle with entry 1 at
+    that index, and otherwise nothing.  Either way ``len(cycles)`` is the
+    k-th reduced Betti number.
+    """
+    data, above = {}, {}
+    for k in range(max(cells), -2, -1):
+        row = {c: i for i, c in enumerate(cells.get(k - 1, ()))}
+        k_cells = cells.get(k, ())
+        kept = [j for j in range(len(k_cells)) if j not in above]
+        pairs = (
+            (boundary(k_cells[j], row), {j: 1} if track else _UNTRACKED)
+            for j in kept
+        )
+        pivots, found = linalg.reduce_columns(pairs)
+        data[k] = (above, {kept[i]: z for i, z in found.items()})
+        above = pivots
+    return data
+
+
+def _reduction(komplex: SimplicialComplex) -> dict:
+    """Degree -> (pivots, cycles) of the complex's simplicial chain
+    complex, computed once per object.
+
+    The k-columns that reduce to zero and are not cleared index the
+    homology basis, and ``cycles`` maps each to its tracked column, a
+    representative cycle with entry 1 at that index.  Following the sorted
+    simplex order makes the basis canonical: equal complexes get equal
+    representatives.
 
     ``pivots`` holds the reduced (k+1)-columns and the representatives by
     pivot, the latter tracked as themselves, so reducing a k-cycle against
@@ -295,16 +330,20 @@ def _reduction(komplex: SimplicialComplex) -> dict:
     """
     if komplex._reduction is None:
         data = {}
-        above = {}
-        for k in range(komplex.dim, -2, -1):
-            pairs = ((column, {j: 1}) for j, column in enumerate(boundary_columns(komplex, k)))
-            pivots, cycles = linalg.reduce_columns(pairs, cleared=above)
+        for k, (above, cycles) in _reduce_down(komplex._ranked(), _simplex_boundary, True).items():
             table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
             table.update((j, (z, {j: 1})) for j, z in cycles.items())
             data[k] = (table, cycles)
-            above = pivots
         komplex._reduction = data
     return komplex._reduction
+
+
+def _cellular_betti(komplex: SimplicialComplex) -> "BettiVector":
+    """Reduced Betti numbers of the complex's cell model, computed once per
+    object; only ranks are kept, so there is no homology basis."""
+    if komplex._cell_betti is None:
+        komplex._cell_betti = _betti(_reduce_down(*komplex._cells(), track=False))
+    return komplex._cell_betti
 
 
 def _betti(reduction: dict) -> BettiVector:
@@ -312,7 +351,15 @@ def _betti(reduction: dict) -> BettiVector:
 
 
 def reduced_betti(komplex: SimplicialComplex) -> BettiVector:
-    """Exact reduced Betti numbers over the rationals."""
+    """Exact reduced Betti numbers over the rationals.
+
+    A complex built as a hocolim carries a much smaller cell model with
+    the same homotopy type (``diagrams``); its Betti numbers come from
+    that model unless the simplicial reduction, which ``HomologyMap``
+    needs for its bases, is already cached.
+    """
+    if komplex._cells is not None and komplex._reduction is None:
+        return _cellular_betti(komplex)
     return _betti(_reduction(komplex))
 
 

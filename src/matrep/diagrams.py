@@ -15,6 +15,12 @@ and builds its up-sets only if asked.  Order complexes are enumerated
 along covers, and the part of a hocolim over an up-set of the diagram
 poset is the order complex of the matching up-set of the Grothendieck
 poset, so no chain is cut or tested for maximality.
+
+The order complex subdivides the prodsimplicial model of the hocolim, a
+complex of cells (chain of elements, simplex of the space at its top),
+which has the same homotopy type and far fewer cells.  Every hocolim
+complex carries that model, and its Betti numbers are read there
+(``complexes.reduced_betti``).
 """
 
 from __future__ import annotations
@@ -44,33 +50,7 @@ class FinitePoset:
 
     def __init__(self, elements, relations):
         self.elements = tuple(sort_labels(set(elements)))
-        succ = {x: set() for x in self.elements}
-        below = {x: set() for x in self.elements}
-        for a, b in relations:
-            if a not in succ or b not in succ:
-                raise DiagramError(f"relation uses unknown element {a!r} or {b!r}")
-            if a != b:
-                succ[a].add(b)
-                below[b].add(a)
-        # Up-sets and covers in reverse topological order; elements on or
-        # below a cycle are never ready.  Every cover is a generating pair,
-        # so x is covered by the direct successors above no other one.
-        waiting = {x: len(bs) for x, bs in succ.items()}
-        ready = [x for x, n in waiting.items() if not n]
-        up, covers = {}, []
-        while ready:
-            x = ready.pop()
-            direct = succ[x]
-            up[x] = frozenset({x}).union(*(up[y] for y in direct))
-            covers.extend((x, y) for y in direct if not any(y in up[z] for z in direct if z != y))
-            for a in below[x]:
-                waiting[a] -= 1
-                if not waiting[a]:
-                    ready.append(a)
-        stuck = [x for x in self.elements if x not in up]
-        if stuck:
-            raise DiagramError(f"antisymmetry fails: {stuck[0]!r} lies on or below a cycle")
-        self._up = up
+        self._up, covers = _close(self.elements, relations)
         self._covers = tuple(covers)
 
     @classmethod
@@ -89,7 +69,7 @@ class FinitePoset:
 
     @functools.cached_property
     def _up(self) -> dict:
-        return FinitePoset(self.elements, self._covers)._up
+        return _close(self.elements, self._covers)[0]
 
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
@@ -120,6 +100,39 @@ class FinitePoset:
         return f"FinitePoset({len(self.elements)} elements)"
 
 
+def _close(elements, relations):
+    """Up-sets and covers of the order that ``relations`` generate on
+    ``elements``, both in reverse topological order: each element comes
+    after every element above it."""
+    succ = {x: set() for x in elements}
+    below = {x: set() for x in elements}
+    for a, b in relations:
+        if a not in succ or b not in succ:
+            raise DiagramError(f"relation uses unknown element {a!r} or {b!r}")
+        if a != b:
+            succ[a].add(b)
+            below[b].add(a)
+    # Elements on or below a cycle are never ready.  Every cover is a
+    # generating pair, so x is covered by the direct successors above no
+    # other one.
+    waiting = {x: len(bs) for x, bs in succ.items()}
+    ready = [x for x, n in waiting.items() if not n]
+    up, covers = {}, []
+    while ready:
+        x = ready.pop()
+        direct = succ[x]
+        up[x] = frozenset({x}).union(*(up[y] for y in direct))
+        covers.extend((x, y) for y in direct if not any(y in up[z] for z in direct if z != y))
+        for a in below[x]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                ready.append(a)
+    stuck = [x for x in elements if x not in up]
+    if stuck:
+        raise DiagramError(f"antisymmetry fails: {stuck[0]!r} lies on or below a cycle")
+    return up, covers
+
+
 def order_complex(poset: FinitePoset) -> SimplicialComplex:
     """The complex of chains of the poset.
 
@@ -135,19 +148,20 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
         upper[a].append(b)
         minimal.discard(b)
     facets = []
-
-    def extend(chain):
-        last = chain[-1]
-        if not upper[last]:
-            facets.append(frozenset(chain))
-            return
-        for y in upper[last]:
+    # depth first, with the upper covers still to try at each step of the
+    # chain; labels are never None
+    chain, untried = [], [iter(minimal)]
+    while untried:
+        y = next(untried[-1], None)
+        if y is None:
+            untried.pop()
+            if chain:
+                chain.pop()
+        elif upper[y]:
             chain.append(y)
-            extend(chain)
-            chain.pop()
-
-    for x in minimal:
-        extend([x])
+            untried.append(iter(upper[y]))
+        else:
+            facets.append(frozenset(chain + [y]))
     return SimplicialComplex._known(facets, poset.elements)
 
 
@@ -189,8 +203,7 @@ class InclusionDiagram:
 
     @functools.cached_property
     def _hocolim(self) -> "Hocolim":
-        gr = grothendieck_poset(self)
-        return Hocolim(order_complex(gr), gr)
+        return Hocolim(self)
 
     def __eq__(self, other):
         return (
@@ -237,11 +250,21 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
 class Hocolim:
     """The order complex of a diagram's Grothendieck poset, kept with that
     poset.  Each vertex is a pair (p, simplex of D(p)), so its diagram
-    element is its first entry."""
+    element is its first entry.
 
-    def __init__(self, complex: SimplicialComplex, poset: FinitePoset):
-        self.complex = complex
-        self.poset = poset
+    The complex, and each one read off it over an up-set, carries the
+    diagram's prodsimplicial model over the same elements as its cells,
+    where ``complexes.reduced_betti`` reads its Betti numbers.  For that
+    the hocolim keeps the diagram's spaces and covers, not the diagram,
+    which keeps the hocolim.
+    """
+
+    def __init__(self, diagram: InclusionDiagram):
+        self.poset = grothendieck_poset(diagram)
+        self._space_at = diagram.space_at
+        self._covers = diagram.poset.covers()
+        self.complex = order_complex(self.poset)
+        self.complex._cells = functools.partial(_prodsimplicial_cells, self._space_at, self._covers)
 
     def over_upset(self, keep) -> SimplicialComplex:
         """The full subcomplex on the vertices (p, s) with ``keep(p)``,
@@ -249,11 +272,78 @@ class Hocolim:
 
         A full subcomplex of an order complex is the order complex of the
         induced subposet, and an up-set keeps the covers of its poset, so
-        it is built along those covers with no chain cut or filtered.
+        it is built along those covers with no chain cut or filtered.  Its
+        cells are those of the diagram over the up-set.
         """
         elements = [v for v in self.poset.elements if keep(v[0])]
         covers = [(a, b) for a, b in self.poset.covers() if keep(a[0])]
-        return order_complex(FinitePoset._from_covers(elements, covers))
+        komplex = order_complex(FinitePoset._from_covers(elements, covers))
+        space_at = {p: space for p, space in self._space_at.items() if keep(p)}
+        komplex._cells = functools.partial(_prodsimplicial_cells, space_at, self._covers)
+        return komplex
+
+
+def _prodsimplicial_cells(space_at, covers):
+    """The cells per dimension of the prodsimplicial model of the hocolim
+    of the inclusion diagram with spaces ``space_at``, whose covers are the
+    pairs in ``covers`` between its elements, and their boundary, in the
+    form ``complexes._reduce_down`` takes.
+
+    A cell (c, t) is a chain c = p0 < ... < pk of elements and a nonempty
+    simplex t of D(pk), the smallest space on the chain; its dimension is
+    k + dim t.  Its boundary is the sum over i of (-1)^i (c - pi) x t, plus
+    (-1)^k c x (the boundary of t), leaving out the terms whose chain or
+    simplex would be empty, and a 0-cell has augmentation 1.  Dropping pk
+    keeps t a simplex, since D(pk) lies in D(pk-1).  The order complex of
+    the Grothendieck poset subdivides this model, so the two have the same
+    homotopy type (Welker-Ziegler-Zivaljevic, "Homotopy colimits -
+    comparison lemmas for combinatorial applications", 1999; Kozlov,
+    "Combinatorial Algebraic Topology", 2008).
+
+    Chains are tuples of element numbers, and simplices sorted tuples of
+    vertex numbers shared by all the spaces.  The chains starting at p are
+    p alone and p followed by each chain starting above p, so they are
+    built top-down from the up-sets of the covers.
+    """
+    live = [p for p, space in space_at.items() if not space.is_empty]
+    number = {p: i for i, p in enumerate(live)}
+    vertex = {}
+    simplices = []
+    for p in live:
+        space = space_at[p]
+        vertex_number = [vertex.setdefault(v, len(vertex)) for v in space._vertex_order()]
+        simplices.append(
+            [tuple(sorted(map(vertex_number.__getitem__, s))) for d, ss in space._ranked().items() if d >= 0 for s in ss]
+        )
+    up, _ = _close(live, [(p, q) for p, q in covers if p in number and q in number])
+    cells = {-1: [()]}
+    chains = {}
+    for p, above in up.items():  # every element above p comes first
+        i = number[p]
+        chains[i] = [(i,)] + [(i,) + c for j in sorted(number[q] for q in above if q != p) for c in chains[j]]
+        for c in chains[i]:
+            for t in simplices[c[-1]]:
+                cells.setdefault(len(c) + len(t) - 2, []).append((c, t))
+    return cells, _cell_boundary
+
+
+def _cell_boundary(cell, row) -> dict:
+    """The boundary of a cell of ``_prodsimplicial_cells`` as a sparse
+    column over the indices ``row`` of the cells one dimension down."""
+    if not cell:  # the empty cell
+        return {}
+    c, t = cell
+    k = len(c) - 1
+    column = {}
+    if k:
+        for i in range(k + 1):
+            column[row[c[:i] + c[i + 1 :], t]] = -1 if i % 2 else 1
+    if len(t) > 1:
+        for j in range(len(t)):
+            column[row[c, t[:j] + t[j + 1 :]]] = -1 if (k + j) % 2 else 1
+    elif not k:
+        column[row[()]] = 1
+    return column
 
 
 def hocolim(diagram: InclusionDiagram) -> Hocolim:

@@ -185,7 +185,9 @@ class Representation:
     Each vertex of T is a Grothendieck element (flat, simplex), so its flat
     is its first entry.  The subcomplexes of T over up-sets of flats, the
     atom subcomplexes among them, are built from the hocolim once per flat
-    when first read, and so is Y, the hocolim over the whole lattice.
+    when first read, and so is Y, the hocolim over the whole lattice.  All
+    of them are hocolims, so their Betti numbers come from their
+    prodsimplicial cells, not from their simplices (``diagrams``).
     """
 
     def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex, hocolim: Hocolim):

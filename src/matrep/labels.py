@@ -49,21 +49,22 @@ def label_formatter():
     never share one, and ``True`` is refused as ``label_key`` refuses it.
     """
     known = {}
+    return lambda x: _entry(known, x)[1]
 
-    def entry(x):
-        found = known.get((type(x), x))
-        if found is None:
-            if isinstance(x, tuple):
-                found = _compound(2, [entry(e) for e in x], "(", ")")
-            elif isinstance(x, frozenset):
-                found = _compound(3, sorted(entry(e) for e in x), "{", "}")
-            else:
-                key = label_key(x)
-                found = (key, str(key[1]))
-            known[type(x), x] = found
-        return found
 
-    return lambda x: entry(x)[1]
+def _entry(known, x):
+    """The key and string of the label x, kept in ``known``."""
+    found = known.get((type(x), x))
+    if found is None:
+        if isinstance(x, tuple):
+            found = _compound(2, [_entry(known, e) for e in x], "(", ")")
+        elif isinstance(x, frozenset):
+            found = _compound(3, sorted(_entry(known, e) for e in x), "{", "}")
+        else:
+            key = label_key(x)
+            found = (key, str(key[1]))
+        known[type(x), x] = found
+    return found
 
 
 def _compound(kind, parts, left, right):

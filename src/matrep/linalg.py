@@ -19,14 +19,13 @@ load it.
 from __future__ import annotations
 
 
-def reduce_columns(columns, pivots=None, cleared=()):
+def reduce_columns(columns, pivots=None):
     """Reduce ``(column, tracked)`` pairs left to right against ``pivots``.
 
     Both parts are sparse ``{row: value}`` dicts and are reduced in place.
     ``pivots`` maps a pivot row to a ``(column, tracked)`` pair whose
     column has entry 1 at that row; it starts empty unless given, and gains
-    every column that stays nonzero.  The pair at an index in ``cleared``
-    is skipped: the caller knows that its column reduces to zero.
+    every column that stays nonzero.
 
     Returns ``(pivots, cycles)``, where ``cycles[j]`` is the tracked part
     of each pair ``j`` whose column reduced to zero.
@@ -34,8 +33,6 @@ def reduce_columns(columns, pivots=None, cleared=()):
     pivots = {} if pivots is None else pivots
     cycles = {}
     for j, (column, tracked) in enumerate(columns):
-        if j in cleared:
-            continue
         while column:
             low = max(column)
             hit = pivots.get(low)

@@ -2,8 +2,10 @@
 
 Each oracle recomputes a quantity by a different route than the library:
 ranks by direct enumeration of the stored independent family, Mobius values
-by signed chain counting, matrix ranks by a self-contained prime-field
-elimination, weak maps by the injective-preimage definition, maximal chains
+by signed chain counting and by the defining recursion over every flat,
+boundary matrices from the labelled simplices, matrix ranks by a
+self-contained prime-field elimination, weak maps by the
+injective-preimage definition, maximal chains
 of a poset by enumerating its subsets, covers by testing every triple,
 Grothendieck posets by comparing every pair of elements, the exchange axiom
 on every two sizes, lattice covers by comparing every pair of flats,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from matrep.complexes import SimplicialComplex, SimplicialMap, boundary_columns
+from matrep.complexes import SimplicialComplex, SimplicialMap
 from matrep.diagrams import FinitePoset, InclusionDiagram
 from matrep.labels import label_key, sort_labels
 from matrep.matroid import ZERO
@@ -70,6 +72,14 @@ def mobius_by_chain_counting(lattice) -> dict:
     return counts
 
 
+def mobius_by_recursion(lattice) -> dict:
+    """mu(bottom, p) = -(the sum of mu(bottom, q) over every flat q < p)."""
+    mu = {}
+    for p in lattice.flats:  # sorted by rank, so all q < p come first
+        mu[p] = 1 if p == lattice.bottom else -sum(mu[q] for q in mu if q < p)
+    return mu
+
+
 def gf_rank(rows, ncols, p=997) -> int:
     """Plain-python rank over GF(p); independent of the library routines."""
     mat = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
@@ -87,6 +97,14 @@ def gf_rank(rows, ncols, p=997) -> int:
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def boundary_columns(komplex, k: int):
+    """The degree-k boundary matrix as sparse columns, one per k-simplex,
+    from the labelled simplices; degree 0 is the augmentation."""
+    by_dim = komplex.simplices_by_dim()
+    row = {s: i for i, s in enumerate(by_dim.get(k - 1, []))}
+    return [{row[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(len(s))} for s in by_dim.get(k, [])]
 
 
 def boundary_rows(komplex, k: int):

@@ -14,7 +14,6 @@ from matrep.complexes import (
     NotSimplicial,
     SimplicialComplex,
     SimplicialMap,
-    boundary_columns,
     compose_matrices,
     copies_complex,
     homology_map,
@@ -28,6 +27,7 @@ from matrep.labels import format_label, label_formatter
 
 from oracles import (
     betti_by_gf_rank,
+    boundary_columns,
     boundary_rows,
     compose,
     disjoint_union,

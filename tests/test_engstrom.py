@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -274,17 +276,20 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
     assert keyed and not rep.T.vertices.intersection(keyed)
 
 
-def count_reductions(count_calls) -> list:
-    """The complexes whose homology is reduced from here on, in order."""
-    return count_calls(complexes, "_reduction", lambda komplex: komplex._reduction is None)
+def count_reductions(count_calls) -> tuple:
+    """The complexes whose homology is reduced from here on, in order, on
+    the simplicial route and on the cellular route of a hocolim."""
+    simplicial = count_calls(complexes, "_reduction", lambda komplex: komplex._reduction is None)
+    cellular = count_calls(complexes, "_cellular_betti", lambda komplex: komplex._cell_betti is None)
+    return simplicial, cellular
 
 
 def test_expected_betti_reduces_only_the_template(count_calls):
     x = sphere(1)
-    reduced = count_reductions(count_calls)
+    simplicial, cellular = count_reductions(count_calls)
     assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
-    assert reduced == [x]
+    assert simplicial == [x] and cellular == []
 
 
 def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
@@ -298,13 +303,105 @@ def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
         return built[-1]
 
     monkeypatch.setattr(Hocolim, "over_upset", counting)
-    reduced = count_reductions(count_calls)
+    simplicial, cellular = count_reductions(count_calls)
     assert verify_xarrangement(rep, x).all_pass
     upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
-    # x once, Y once and each up-set complex once
-    assert len(reduced) == len(upper_flats) + 2 == 28
+    # x once on the simplicial route; Y once and each up-set complex once,
+    # all hocolims, on the cellular route
+    assert simplicial == [x]
+    assert len(cellular) == len(set(map(id, cellular))) == len(upper_flats) + 1 == 27
     assert len(built) == len(upper_flats)
     assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
+
+
+def test_u45_over_s1_betti_from_cells_under_a_second():
+    # T has about a million simplices; its prodsimplicial model has 3,930
+    # cells, and T's simplices are never listed
+    im, x = immersed(uniform(4, 5), rho=4), sphere(1)
+    rep = build_representation(im, x)
+    start = time.perf_counter()
+    betti = reduced_betti(rep.T)
+    assert time.perf_counter() - start < 1.0
+    assert betti == expected_betti(im, x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
+    assert rep.T._simplices is None and rep.T._reduction is None
+
+
+def test_pipeline_leaves_no_cycles_to_the_collector():
+    """Building T, its Betti numbers, its export and a homology map leave
+    no matrep object in a reference cycle: each is freed by reference
+    counting as soon as it is dropped."""
+
+    def run():
+        rep = build_representation(immersed(uniform(4, 5), rho=4), sphere(0))
+        reduced_betti(rep.T)
+        rep.T.to_doc()
+        m, n, _ = rank3_chain()
+        homology_map(induced_representation_map(identity_map(m, n), immersed(m), immersed(n), sphere(0)))
+
+    def from_matrep(obj):
+        module = obj.__module__ if callable(obj) and hasattr(obj, "__code__") else type(obj).__module__
+        return str(module).split(".")[0] == "matrep"
+
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        cyclic = [type(obj).__qualname__ for obj in gc.garbage if from_matrep(obj)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
+
+
+@st.composite
+def column_immersions(draw):
+    """Column matroids of up to five random GF(2) or GF(3) columns of
+    length three, immersed at rho = rank or rank + 1 with their bits
+    permuted at random, and S^0 or S^1 as the template.  Over S^1 rho
+    stays at most 3, where T has at most a few thousand simplices."""
+    p = draw(st.sampled_from([2, 3]))
+    column = st.tuples(*[st.integers(min_value=0, max_value=p - 1)] * 3)
+    m = matroid_of_columns(draw(st.lists(column, min_size=1, max_size=5)), p=p)
+    k = draw(st.sampled_from([0, 1]))
+    rho = m.rank_total + draw(st.integers(min_value=0, max_value=1))
+    assume(k == 0 or rho <= 3)
+    bits = draw(st.permutations(range(1, rho + 1)))
+    l = permuted_immersion(canonical_immersion(m, rho), dict(zip(range(1, rho + 1), bits)))
+    return ImmersedMatroid(m, l), sphere(k)
+
+
+def assert_boundary_of_boundary_vanishes(komplex):
+    cells, boundary = komplex._cells()
+    for k in range(max(cells), 0, -1):
+        down = cells[k - 1]
+        row = {c: i for i, c in enumerate(down)}
+        row_below = {c: i for i, c in enumerate(cells[k - 2])}
+        for cell in cells[k]:
+            total = {}
+            for r, v in boundary(cell, row).items():
+                for r2, v2 in boundary(down[r], row_below).items():
+                    total[r2] = total.get(r2, 0) + v * v2
+            assert not any(total.values()), cell
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=column_immersions())
+def test_cellular_betti_equals_simplicial(instance):
+    """T and every up-set complex get their Betti numbers from the
+    prodsimplicial model, a chain complex; the simplicial reduction of the
+    same complex must agree."""
+    im, x = instance
+    rep = build_representation(im, x)
+    lat = rep.lattice
+    for komplex in [rep.T] + [rep.upset_complex(f) for f in lat.flats if f != lat.bottom]:
+        assert_boundary_of_boundary_vanishes(komplex)
+        cellular = reduced_betti(komplex)
+        assert komplex._reduction is None and komplex._cell_betti is not None
+        assert cellular == complexes._betti(complexes._reduction(komplex))
+        # once the simplicial reduction is cached, it is the one read
+        assert reduced_betti(komplex) == cellular
 
 
 def test_formula_agreement_all_instances():

@@ -43,6 +43,7 @@ from oracles import (
     lattice_covers_by_definition,
     matroid_of_columns,
     mobius_by_chain_counting,
+    mobius_by_recursion,
     sorted_flats,
     weak_by_definition,
 )
@@ -300,6 +301,22 @@ def test_mobius_against_chain_counting_oracle():
     for name in ("U2,3", "U2,4", "funcN", "funcL"):
         lat = catalog_matroid(name).lattice()
         assert lat.mobius() == mobius_by_chain_counting(lat)
+
+
+def test_mobius_by_closures_matches_recursion_on_catalog():
+    for name in catalog_names():
+        m = catalog_matroid(name)
+        for k in range(m.rank_total + 1):
+            lat = truncate(m, k).lattice()
+            assert lat.mobius() == mobius_by_recursion(lat), (name, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=column_matroids())
+def test_mobius_by_closures_matches_recursion(m):
+    # loops and parallel columns included, so the bottom flat may be nonempty
+    lat = m.lattice()
+    assert lat.mobius() == mobius_by_recursion(lat)
 
 
 def test_mobius_examples():
