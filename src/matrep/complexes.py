@@ -7,23 +7,22 @@ complex contains the empty simplex, which makes the reduced-homology and
 Betti number 1 in degree -1 and is the unit for joins.
 
 Vertex labels are ints, strings, tuples or frozensets.  A complex sorts its
-vertices by ``label_key`` once, on first use, and stores one sorted list of
-simplices per dimension, as tuples of vertex ranks; rank order is
-``label_key`` order because the key is injective.  Boundary matrices, face
-counts, simplex lookups and homology maps work on the rank tuples, and
-labels are put back only for callers that ask for them
+vertices by ``label_key`` once, on first use, and stores one table of
+simplices per dimension, each a rank tuple mapped to its index in sorted
+order; rank order is ``label_key`` order because the key is injective.
+Boundary matrices, face counts, simplex lookups and homology maps work on
+that table, and labels are put back only for callers that ask for them
 (``simplices_by_dim``).  Constructions that know their facets are maximal
 and their vertices sorted (order complexes of posets, joins of copies of a
 complex) hand both to a private constructor that keeps them as given, so
 they filter no facet list and key no vertex.
 
 Reduced Betti numbers come from one top-down column reduction with
-clearing.  A complex built as a hocolim (T, its up-set complexes, Y)
-carries its prodsimplicial cell model from ``diagrams``, with far fewer
-cells than it has simplices, and ``reduced_betti`` reduces that model; it
-reduces the simplices of every other complex, and of a hocolim whose
-simplicial reduction is already cached.  ``HomologyMap`` always reduces
-the simplices, which give canonical homology bases.
+clearing of a complex's cells.  The cells of a plain complex are its
+simplices; a complex built as a hocolim (T, its up-set complexes, Y) has
+its prodsimplicial cell model from ``diagrams`` instead, with far fewer
+cells than it has simplices.  ``HomologyMap`` reduces the simplices, with
+tracked columns that give canonical homology bases.
 """
 
 from __future__ import annotations
@@ -45,13 +44,8 @@ class SimplicialComplex:
     _vertices = None
     _order = None
     _simplices = None
-    _simplex_set = None
     _reduction = None
-    # set by constructions that know a smaller model with the same homology
-    # (hocolims, see ``diagrams``): a function returning its cells per
-    # degree and their boundary, in the form ``_reduce_down`` takes
-    _cells = None
-    _cell_betti = None
+    _betti_numbers = None
 
     def __init__(self, facets=()):
         self._facets = _maximal_faces(facets)
@@ -105,8 +99,9 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self._vertex_order())}
 
     def _ranked(self) -> dict:
-        """Sorted simplices per dimension as tuples of vertex ranks, the
-        complex's one stored simplex list; dimension -1 holds ``()``.
+        """Dimension -> {simplex: index}, each simplex a tuple of vertex
+        ranks and the tuples in sorted order, indexed from 0; the complex's
+        one stored simplex table.  Dimension -1 holds ``()``.
 
         Rank order is ``label_key`` order, so these tuples sort as the
         ``label_key`` tuples of their vertices would.
@@ -118,11 +113,18 @@ class SimplicialComplex:
                 ranks = sorted(map(rank.__getitem__, f))
                 for k in range(1, len(f) + 1):
                     seen.update(itertools.combinations(ranks, k))
-            by_dim: dict[int, list] = {-1: [()]}
+            by_dim: dict[int, dict] = {-1: {(): 0}}
             for s in sorted(seen):
-                by_dim.setdefault(len(s) - 1, []).append(s)
+                index = by_dim.setdefault(len(s) - 1, {})
+                index[s] = len(index)
             self._simplices = by_dim
         return self._simplices
+
+    def _cells(self):
+        """The cells per degree and their boundary, in the form
+        ``_reduce_down`` takes: the simplices.  Hocolims replace them with
+        a smaller model of the same homotopy type (``diagrams``)."""
+        return self._ranked(), _simplex_boundary
 
     def simplices_by_dim(self) -> dict:
         """Sorted simplices per dimension, as tuples of vertex labels;
@@ -131,14 +133,13 @@ class SimplicialComplex:
         return {k: [tuple(map(order.__getitem__, s)) for s in ss] for k, ss in self._ranked().items()}
 
     def has_simplex(self, s) -> bool:
-        """Whether the vertices ``s`` span a nonempty simplex; the rank
-        tuples of ``_ranked()`` are looked up as one set, built once."""
-        if self._simplex_set is None:
-            self._simplex_set = frozenset(s for k, ss in self._ranked().items() if k >= 0 for s in ss)
+        """Whether the vertices ``s`` span a nonempty simplex, looked up in
+        the table of ``_ranked()``."""
         try:
-            return tuple(sorted(map(self._rank_of.__getitem__, s))) in self._simplex_set
+            ranks = tuple(sorted(map(self._rank_of.__getitem__, s)))
         except KeyError:  # s holds a label that is no vertex of the complex
             return False
+        return bool(ranks) and ranks in self._ranked().get(len(ranks) - 1, ())
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(other.has_simplex(f) for f in self._facets)
@@ -285,9 +286,10 @@ _UNTRACKED = types.MappingProxyType({})
 
 def _reduce_down(cells: dict, boundary, track: bool) -> dict:
     """Degree -> (pivots, cycles) of the augmented chain complex whose
-    k-cells are listed in ``cells[k]``, degree -1 holding the one empty
-    cell, and in which ``boundary(c, row)`` is the boundary of a k-cell c
-    as a sparse column over the indices ``row`` of the (k-1)-cells.
+    k-cells are the keys of ``cells[k]``, each mapped to its index from 0
+    in insertion order, degree -1 holding the one empty cell, and in which
+    ``boundary(c, row)`` is the boundary of a k-cell c as a sparse column
+    over the indices ``row``, that is ``cells[k - 1]``, of the (k-1)-cells.
 
     The boundary matrices are reduced from the top degree down with
     clearing (Chen-Kerber, "Persistent homology computation with a twist",
@@ -301,15 +303,11 @@ def _reduce_down(cells: dict, boundary, track: bool) -> dict:
     """
     data, above = {}, {}
     for k in range(max(cells), -2, -1):
-        row = {c: i for i, c in enumerate(cells.get(k - 1, ()))}
-        k_cells = cells.get(k, ())
-        kept = [j for j in range(len(k_cells)) if j not in above]
-        pairs = (
-            (boundary(k_cells[j], row), {j: 1} if track else _UNTRACKED)
-            for j in kept
-        )
+        row = cells.get(k - 1, {})
+        kept = [(c, j) for c, j in cells.get(k, {}).items() if j not in above]
+        pairs = ((boundary(c, row), {j: 1} if track else _UNTRACKED) for c, j in kept)
         pivots, found = linalg.reduce_columns(pairs)
-        data[k] = (above, {kept[i]: z for i, z in found.items()})
+        data[k] = (above, {kept[i][1]: z for i, z in found.items()})
         above = pivots
     return data
 
@@ -338,29 +336,17 @@ def _reduction(komplex: SimplicialComplex) -> dict:
     return komplex._reduction
 
 
-def _cellular_betti(komplex: SimplicialComplex) -> "BettiVector":
-    """Reduced Betti numbers of the complex's cell model, computed once per
-    object; only ranks are kept, so there is no homology basis."""
-    if komplex._cell_betti is None:
-        komplex._cell_betti = _betti(_reduce_down(*komplex._cells(), track=False))
-    return komplex._cell_betti
-
-
 def _betti(reduction: dict) -> BettiVector:
     return BettiVector({k: len(cycles) for k, (_, cycles) in reduction.items()})
 
 
 def reduced_betti(komplex: SimplicialComplex) -> BettiVector:
-    """Exact reduced Betti numbers over the rationals.
-
-    A complex built as a hocolim carries a much smaller cell model with
-    the same homotopy type (``diagrams``); its Betti numbers come from
-    that model unless the simplicial reduction, which ``HomologyMap``
-    needs for its bases, is already cached.
-    """
-    if komplex._cells is not None and komplex._reduction is None:
-        return _cellular_betti(komplex)
-    return _betti(_reduction(komplex))
+    """Exact reduced Betti numbers over the rationals, from one untracked
+    reduction of the complex's cells, computed once per object; only ranks
+    are kept, so there is no homology basis."""
+    if komplex._betti_numbers is None:
+        komplex._betti_numbers = _betti(_reduce_down(*komplex._cells(), track=False))
+    return komplex._betti_numbers
 
 
 class SimplicialMap:
@@ -426,8 +412,8 @@ class HomologyMap:
         for k in range(-1, max(f.source.dim, f.target.dim) + 1):
             src_reps = src.get(k, ({}, {}))[1]
             pivots, tgt_reps = tgt.get(k, ({}, {}))
-            simplices = src_by_dim.get(k, [])
-            tgt_index = {s: i for i, s in enumerate(tgt_by_dim.get(k, []))}
+            simplices = list(src_by_dim[k]) if src_reps else ()
+            tgt_index = tgt_by_dim.get(k, {})
             cols = []
             for j in sorted(src_reps):
                 image = {}

@@ -19,8 +19,8 @@ poset, so no chain is cut or tested for maximality.
 The order complex subdivides the prodsimplicial model of the hocolim, a
 complex of cells (chain of elements, simplex of the space at its top),
 which has the same homotopy type and far fewer cells.  Every hocolim
-complex carries that model, and its Betti numbers are read there
-(``complexes.reduced_betti``).
+complex carries that model as its cells, and its Betti numbers are read
+there (``complexes.reduced_betti``).
 """
 
 from __future__ import annotations
@@ -316,14 +316,15 @@ def _prodsimplicial_cells(space_at, covers):
             [tuple(sorted(map(vertex_number.__getitem__, s))) for d, ss in space._ranked().items() if d >= 0 for s in ss]
         )
     up, _ = _close(live, [(p, q) for p, q in covers if p in number and q in number])
-    cells = {-1: [()]}
+    cells = {-1: {(): 0}}
     chains = {}
     for p, above in up.items():  # every element above p comes first
         i = number[p]
         chains[i] = [(i,)] + [(i,) + c for j in sorted(number[q] for q in above if q != p) for c in chains[j]]
         for c in chains[i]:
             for t in simplices[c[-1]]:
-                cells.setdefault(len(c) + len(t) - 2, []).append((c, t))
+                index = cells.setdefault(len(c) + len(t) - 2, {})
+                index[c, t] = len(index)
     return cells, _cell_boundary
 
 

@@ -51,27 +51,18 @@ class NotFree(ValueError):
 class Immersion:
     """An assignment of subsets of {1..rho} to flats; see validate_immersion."""
 
-    def __init__(self, matroid: Matroid, rho: int, assignment: tuple):
+    def __init__(self, matroid: Matroid, rho: int, assignment):
         self.matroid = matroid
         self.rho = rho
-        self.assignment = assignment  # sorted ((flat, frozenset-of-indices), ...) pairs
+        # flat -> frozenset of indices, from pairs or a mapping
+        self._mapping = {frozenset(f): frozenset(s) for f, s in dict(assignment).items()}
 
     @classmethod
     def from_dict(cls, matroid: Matroid, rho: int, mapping) -> "Immersion":
-        items = tuple(
-            sorted(
-                ((frozenset(f), frozenset(s)) for f, s in dict(mapping).items()),
-                key=lambda kv: label_key(kv[0]),
-            )
-        )
-        return cls(matroid, rho, items)
+        return cls(matroid, rho, mapping)
 
     def as_dict(self) -> dict:
-        return dict(self.assignment)
-
-    @functools.cached_property
-    def _mapping(self) -> dict:
-        return dict(self.assignment)
+        return dict(self._mapping)
 
     def __call__(self, flat) -> frozenset:
         return self._mapping[frozenset(flat)]
@@ -81,11 +72,11 @@ class Immersion:
             isinstance(other, Immersion)
             and self.matroid == other.matroid
             and self.rho == other.rho
-            and self.assignment == other.assignment
+            and self._mapping == other._mapping
         )
 
     def __hash__(self):
-        return hash((self.matroid, self.rho, self.assignment))
+        return hash((self.matroid, self.rho, frozenset(self._mapping.items())))
 
 
 def canonical_immersion(matroid: Matroid, rho: int) -> Immersion:
@@ -144,14 +135,15 @@ def immersed(matroid: Matroid, rho: int | None = None, immersion: Immersion | No
 
 def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
     """Whether l(p) is contained in l'(tau#(p)) for every flat p."""
-    if l.rho != l_prime.rho:
-        raise InvalidImmersion("immersions must share rho")
     return _inadmissible_flat(l, l_prime, induced_flat_map(tau)) is None
 
 
 def _inadmissible_flat(l: Immersion, l_prime: Immersion, g: FlatMap):
     """The first flat p, in lattice order, with l(p) not contained in
-    l'(g(p)), or None when there is none."""
+    l'(g(p)), or None when there is none; immersions of different rho
+    raise ``NotAdmissible``."""
+    if l.rho != l_prime.rho:
+        raise NotAdmissible("immersions must share rho")
     return next((p for p in g.source_lattice.flats if not l(p) <= l_prime(g(p))), None)
 
 
@@ -389,8 +381,6 @@ def _representation_map(tau, l, l_prime, source, target, f_x) -> SimplicialMap:
     the flat map g of tau is derived once (one ``classify_map`` call),
     refused unless admissible, rerouted if it annihilates an atom, and the
     vertex map is checked by one ``SimplicialMap``."""
-    if l.rho != l_prime.rho:
-        raise NotAdmissible("immersions must share rho")
     g = induced_flat_map(tau)
     if _inadmissible_flat(l, l_prime, g) is not None:
         raise NotAdmissible("the weak map does not respect the immersions")
@@ -419,11 +409,10 @@ def verify_strict_decrease(tau, im_m, im_n, x) -> bool:
     r_n = im_n.matroid.rank_total
     if r_m <= r_n:
         raise ValueError("strict decrease needs a rank drop")
-    if im_m.rho != im_n.rho:
-        raise NotAdmissible("immersions must share rho")
     if not tau.is_surjective():
         raise MatroidError("needs a surjective weak map")
-    # is_admissible classifies tau, refusing a map that is not weak
+    # is_admissible refuses immersions of different rho and classifies
+    # tau, refusing a map that is not weak
     if not is_admissible(tau, im_m.immersion, im_n.immersion):
         raise NotAdmissible("the weak map does not respect the immersions")
     betti_m = expected_betti(im_m, x)

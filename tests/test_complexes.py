@@ -248,6 +248,8 @@ def test_has_simplex_matches_faces_of_facets(facets, probe):
     simplices = nonempty_simplices(komplex)
     assert komplex.has_simplex(probe) == (probe in simplices)
     assert all(komplex.has_simplex(s) for s in simplices)
+    # dimension -1 of the simplex table holds (), which is no simplex here
+    assert not komplex.has_simplex(())
 
 
 @settings(max_examples=40, deadline=None)

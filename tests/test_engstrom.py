@@ -127,6 +127,32 @@ def test_admissibility():
     assert not is_admissible(identity_map(m, m), l_hat, rotated)
 
 
+def test_immersion_is_its_mapping():
+    from matrep.engstrom import Immersion
+
+    m = uniform(2, 3)
+    l_hat = canonical_immersion(m, 2)
+    mapping = l_hat.as_dict()
+    backwards = Immersion(m, 2, reversed(list(mapping.items())))
+    assert backwards == l_hat == Immersion.from_dict(m, 2, mapping)
+    assert hash(backwards) == hash(l_hat)
+    assert backwards({1}) == l_hat(frozenset({1})) == frozenset({1})
+    assert backwards != Immersion(m, 3, mapping)
+
+
+@pytest.mark.parametrize("entry", ["is_admissible", "induced_representation_map", "verify_strict_decrease"])
+def test_every_entry_refuses_immersions_of_different_rho(entry):
+    m, n = uniform(3, 4), uniform(2, 4)
+    tau, im_m, im_n = identity_map(m, n), immersed(m, rho=3), immersed(n, rho=4)
+    call = {
+        "is_admissible": lambda: is_admissible(tau, im_m.immersion, im_n.immersion),
+        "induced_representation_map": lambda: induced_representation_map(tau, im_m, im_n, sphere(0)),
+        "verify_strict_decrease": lambda: verify_strict_decrease(tau, im_m, im_n, sphere(0)),
+    }[entry]
+    with pytest.raises(NotAdmissible, match="share rho"):
+        call()
+
+
 def test_build_diagram_spaces():
     m = uniform(2, 3)
     d = build_diagram(immersed(m), sphere(0))
@@ -277,10 +303,11 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
 
 
 def count_reductions(count_calls) -> tuple:
-    """The complexes whose homology is reduced from here on, in order, on
-    the simplicial route and on the cellular route of a hocolim."""
+    """The complexes whose homology is reduced from here on, in order: the
+    tracked simplicial reductions of ``HomologyMap``, and the untracked
+    reductions of their cells behind ``reduced_betti``."""
     simplicial = count_calls(complexes, "_reduction", lambda komplex: komplex._reduction is None)
-    cellular = count_calls(complexes, "_cellular_betti", lambda komplex: komplex._cell_betti is None)
+    cellular = count_calls(complexes, "reduced_betti", lambda komplex: komplex._betti_numbers is None)
     return simplicial, cellular
 
 
@@ -289,7 +316,7 @@ def test_expected_betti_reduces_only_the_template(count_calls):
     simplicial, cellular = count_reductions(count_calls)
     assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
-    assert simplicial == [x] and cellular == []
+    assert simplicial == [] and cellular == [x]
 
 
 def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
@@ -306,10 +333,10 @@ def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
     simplicial, cellular = count_reductions(count_calls)
     assert verify_xarrangement(rep, x).all_pass
     upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
-    # x once on the simplicial route; Y once and each up-set complex once,
-    # all hocolims, on the cellular route
-    assert simplicial == [x]
-    assert len(cellular) == len(set(map(id, cellular))) == len(upper_flats) + 1 == 27
+    # x, Y and each up-set complex once, the last two on their cell models;
+    # no tracked reduction
+    assert simplicial == [] and cellular[0] is x
+    assert len(cellular) == len(set(map(id, cellular))) == len(upper_flats) + 2 == 28
     assert len(built) == len(upper_flats)
     assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
 
@@ -375,13 +402,11 @@ def column_immersions(draw):
 def assert_boundary_of_boundary_vanishes(komplex):
     cells, boundary = komplex._cells()
     for k in range(max(cells), 0, -1):
-        down = cells[k - 1]
-        row = {c: i for i, c in enumerate(down)}
-        row_below = {c: i for i, c in enumerate(cells[k - 2])}
+        down = list(cells[k - 1])
         for cell in cells[k]:
             total = {}
-            for r, v in boundary(cell, row).items():
-                for r2, v2 in boundary(down[r], row_below).items():
+            for r, v in boundary(cell, cells[k - 1]).items():
+                for r2, v2 in boundary(down[r], cells[k - 2]).items():
                     total[r2] = total.get(r2, 0) + v * v2
             assert not any(total.values()), cell
 
@@ -398,10 +423,29 @@ def test_cellular_betti_equals_simplicial(instance):
     for komplex in [rep.T] + [rep.upset_complex(f) for f in lat.flats if f != lat.bottom]:
         assert_boundary_of_boundary_vanishes(komplex)
         cellular = reduced_betti(komplex)
-        assert komplex._reduction is None and komplex._cell_betti is not None
+        assert komplex._reduction is None and komplex._simplices is None
         assert cellular == complexes._betti(complexes._reduction(komplex))
-        # once the simplicial reduction is cached, it is the one read
-        assert reduced_betti(komplex) == cellular
+
+
+def test_betti_numbers_after_a_homology_map_come_from_the_cells(monkeypatch):
+    """A homology map into T caches T's simplicial reduction; T's Betti
+    numbers are still reduced from its prodsimplicial cells, once."""
+    m, n, _ = rank3_chain()
+    s0 = sphere(0)
+    hm = homology_map(induced_representation_map(identity_map(m, n), immersed(m), immersed(n), s0))
+    target = hm.map.target
+    assert target._reduction is not None and target._betti_numbers is None
+    read = []
+    original = target._cells
+
+    def cells():
+        read.append(original())
+        return read[-1]
+
+    monkeypatch.setattr(target, "_cells", cells)
+    assert reduced_betti(target) == hm.target_betti == expected_betti(immersed(n), s0)
+    assert reduced_betti(target) is target._betti_numbers
+    assert [boundary for _, boundary in read] == [diagrams._cell_boundary]
 
 
 def test_formula_agreement_all_instances():
@@ -913,7 +957,11 @@ def test_composite_flat_maps_are_homotopic_pair(count_calls):
     h1 = homology_map(induced_map(m1))
     h2 = homology_map(induced_map(m2))
     assert h1.matrices == h2.matrices
-    assert len(built) == 2 and len(reduced) == 2
+    # each of the two Y's gets one tracked reduction, and no Betti numbers
+    # are reduced apart from them
+    simplicial, cellular = reduced
+    assert len(built) == 2 and len(simplicial) == 2 and cellular == []
+    assert {id(y) for y in simplicial} == {id(h1.map.source), id(h1.map.target)}
 
 
 def test_colim_agrees_with_hocolim_on_full_lattice_diagrams():

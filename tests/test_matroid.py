@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matrep
 from matrep.catalog import (
     catalog_matroid,
     catalog_names,
@@ -180,6 +185,28 @@ def test_matroid_from_flats_requires_intersections():
         matroid_from_flats([1, 2, 3], [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 3})])
 
 
+def test_missing_intersection_is_named_alike_under_every_hash_seed():
+    """The refusal names the first missing meet in mask order, here the
+    empty intersection of {a, b} and {c, d}, whatever the string hashes."""
+    src = str(Path(matrep.__file__).resolve().parents[1])
+    probe = (
+        "from matrep.matroid import matroid_from_flats\n"
+        "try:\n"
+        "    matroid_from_flats('abcd', ['ab', 'bc', 'cd', 'ad', 'abcd'])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert outs == {"NotIntersectionClosed missing intersection []\n"}
+
+
 def test_matroid_from_flats_rejects_non_matroidal_family():
     with pytest.raises(NotMatroidal):
         matroid_from_flats([1, 2, 3], [frozenset(), frozenset({1}), frozenset({1, 2, 3})])
@@ -282,6 +309,21 @@ def column_matroids(draw):
 def test_flats_form_a_geometric_lattice(m, data):
     k = data.draw(st.integers(min_value=0, max_value=m.rank_total))
     assert geometric_lattice_violations(truncate(m, k).lattice()) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=column_matroids())
+def test_matroid_from_flats_round_trips(m):
+    assert matroid_from_flats(m.elements, m.lattice().flats) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=column_matroids())
+def test_closure_table_against_brute_force(m):
+    lat = m.lattice()
+    for k in range(len(m.elements) + 1):
+        for combo in itertools.combinations(m.elements, k):
+            assert m.closure(combo) == lat.closure(combo) == brute_closure(m, combo)
 
 
 def test_lattice_makes_no_join(monkeypatch):
