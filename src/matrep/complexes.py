@@ -21,8 +21,9 @@ Reduced Betti numbers come from one top-down column reduction with
 clearing of a complex's cells.  The cells of a plain complex are its
 simplices; a complex built as a hocolim (T, its up-set complexes, Y) has
 its prodsimplicial cell model from ``diagrams`` instead, with far fewer
-cells than it has simplices.  ``HomologyMap`` reduces the simplices, with
-tracked columns that give canonical homology bases.
+cells than it has simplices.  ``HomologyMap`` reduces its map's own model
+with tracked columns that give canonical homology bases: the simplices for
+a ``SimplicialMap``, the prodsimplicial cells for a map of hocolims.
 """
 
 from __future__ import annotations
@@ -312,27 +313,33 @@ def _reduce_down(cells: dict, boundary, track: bool) -> dict:
     return data
 
 
-def _reduction(komplex: SimplicialComplex) -> dict:
-    """Degree -> (pivots, cycles) of the complex's simplicial chain
-    complex, computed once per object.
+def _tracked(cells: dict, boundary) -> dict:
+    """Degree -> (pivots, cycles) of the chain complex of ``_reduce_down``,
+    reduced with tracking.
 
-    The k-columns that reduce to zero and are not cleared index the
+    The k-cells whose columns reduce to zero and are not cleared index the
     homology basis, and ``cycles`` maps each to its tracked column, a
-    representative cycle with entry 1 at that index.  Following the sorted
-    simplex order makes the basis canonical: equal complexes get equal
+    representative cycle with entry 1 at that index.  Following the given
+    cell order makes the basis canonical: equal models get equal
     representatives.
 
     ``pivots`` holds the reduced (k+1)-columns and the representatives by
     pivot, the latter tracked as themselves, so reducing a k-cycle against
     it leaves minus its coordinates in the homology basis.
     """
+    data = {}
+    for k, (above, cycles) in _reduce_down(cells, boundary, True).items():
+        table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
+        table.update((j, (z, {j: 1})) for j, z in cycles.items())
+        data[k] = (table, cycles)
+    return data
+
+
+def _reduction(komplex: SimplicialComplex) -> dict:
+    """The tracked reduction of the complex's simplices, computed once per
+    object."""
     if komplex._reduction is None:
-        data = {}
-        for k, (above, cycles) in _reduce_down(komplex._ranked(), _simplex_boundary, True).items():
-            table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
-            table.update((j, (z, {j: 1})) for j, z in cycles.items())
-            data[k] = (table, cycles)
-        komplex._reduction = data
+        komplex._reduction = _tracked(komplex._ranked(), _simplex_boundary)
     return komplex._reduction
 
 
@@ -375,11 +382,32 @@ class SimplicialMap:
     def __call__(self, v):
         return self.vertex_map[v]
 
-    def image_simplex(self, s) -> frozenset:
-        return frozenset(self.vertex_map[v] for v in s)
-
     def is_inclusion(self) -> bool:
         return all(self.vertex_map[v] == v for v in self.vertex_map)
+
+    def _chain_map(self):
+        """The map on simplices, in the form ``HomologyMap`` takes: the
+        simplices and tracked reduction of each end, and the image of a
+        source simplex as (target simplex, sign), or None when it is
+        degenerate."""
+        rank = self.target._rank_of
+        image_rank = [rank[self.vertex_map[v]] for v in self.source._vertex_order()]
+
+        def image(s):
+            return _sorted_with_sign([image_rank[r] for r in s])
+
+        ends = [(k._ranked(), _reduction(k)) for k in (self.source, self.target)]
+        return ends[0], ends[1], image
+
+
+def _sorted_with_sign(images):
+    """(sorted images, sign of the sorting permutation), or None when two
+    images coincide: the normalized chain map of a vertex map on one
+    simplex."""
+    if len(set(images)) < len(images):
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+    return tuple(sorted(images)), -1 if inversions % 2 else 1
 
 
 def _rank(matrix) -> int:
@@ -391,41 +419,39 @@ def _rank(matrix) -> int:
 class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
+    The map's own model is reduced with tracking: simplices for a
+    ``SimplicialMap``, prodsimplicial cells for a map of hocolims
+    (``diagrams.HocolimMap``); the map says which through ``_chain_map``.
     Entries are the kernel's exact values: ints, or ``Fraction``s where a
-    pivot is not +-1.  Bases are canonical per complex, so matrices of
+    pivot is not +-1.  Bases are canonical per model, so matrices of
     different maps between the same complexes can be compared and
-    multiplied entrywise.  Column j of a matrix holds the coordinates of
-    the image of the j-th source representative, found by reducing it
-    against the target's pivots.
+    multiplied entrywise; bases of different models of one complex differ.
+    Column j of a matrix holds the coordinates of the image of the j-th
+    source representative, found by reducing it against the target's
+    pivots.
     """
 
-    def __init__(self, f: SimplicialMap):
+    def __init__(self, f):
         self.map = f
-        src, tgt = _reduction(f.source), _reduction(f.target)
+        (src_cells, src), (tgt_cells, tgt), image = f._chain_map()
         self.source_betti = _betti(src)
         self.target_betti = _betti(tgt)
-        src_by_dim = f.source._ranked()
-        tgt_by_dim = f.target._ranked()
-        tgt_rank = f.target._rank_of
-        image_rank = [tgt_rank[f.vertex_map[v]] for v in f.source._vertex_order()]
         self.matrices = {}
-        for k in range(-1, max(f.source.dim, f.target.dim) + 1):
+        for k in range(-1, max(max(src), max(tgt)) + 1):
             src_reps = src.get(k, ({}, {}))[1]
             pivots, tgt_reps = tgt.get(k, ({}, {}))
-            simplices = list(src_by_dim[k]) if src_reps else ()
-            tgt_index = tgt_by_dim.get(k, {})
+            cells = list(src_cells[k]) if src_reps else ()
+            row = tgt_cells.get(k, {})
             cols = []
             for j in sorted(src_reps):
-                image = {}
+                column = {}
                 for index, c in src_reps[j].items():
-                    imgs = [image_rank[r] for r in simplices[index]]
-                    if len(set(imgs)) < len(imgs):
-                        continue
-                    t = tgt_index[tuple(sorted(imgs))]
-                    inversions = sum(a > b for a, b in itertools.combinations(imgs, 2))
-                    image[t] = image.get(t, 0) + (-c if inversions % 2 else c)
-                image = {t: v for t, v in image.items() if v}
-                _, cycles = linalg.reduce_columns([(image, {})], pivots)
+                    hit = image(cells[index])
+                    if hit is not None:
+                        t = row[hit[0]]
+                        column[t] = column.get(t, 0) + hit[1] * c
+                column = {t: v for t, v in column.items() if v}
+                _, cycles = linalg.reduce_columns([(column, {})], pivots)
                 assert 0 in cycles, "image of a cycle is not a cycle"
                 cols.append(cycles[0])
             self.matrices[k] = [[-col.get(r, 0) for col in cols] for r in sorted(tgt_reps)]
@@ -437,7 +463,7 @@ class HomologyMap:
         return all(_rank(m) == len(m) for m in self.matrices.values())
 
 
-def homology_map(f: SimplicialMap) -> HomologyMap:
+def homology_map(f) -> HomologyMap:
     return HomologyMap(f)
 
 

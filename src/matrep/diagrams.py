@@ -19,15 +19,21 @@ poset, so no chain is cut or tested for maximality.
 The order complex subdivides the prodsimplicial model of the hocolim, a
 complex of cells (chain of elements, simplex of the space at its top),
 which has the same homotopy type and far fewer cells.  Every hocolim
-complex carries that model as its cells, and its Betti numbers are read
-there (``complexes.reduced_betti``).
+complex carries that model as its cells, built from the diagram's spaces
+and covers alone, and its Betti numbers are read there
+(``complexes.reduced_betti``).  A hocolim complex builds its Grothendieck
+poset, and then its facets, only when they are read.
+
+A diagram morphism induces a map of hocolims (``HocolimMap``) that acts
+on the prodsimplicial cells, so its homology map builds neither end's
+poset or facets.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .complexes import SimplicialComplex, SimplicialMap
+from .complexes import SimplicialComplex, _sorted_with_sign, _tracked
 from .labels import sort_labels
 
 
@@ -247,47 +253,94 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
     return FinitePoset._from_covers(elements, covers)
 
 
-class Hocolim:
-    """The order complex of a diagram's Grothendieck poset, kept with that
-    poset.  Each vertex is a pair (p, simplex of D(p)), so its diagram
-    element is its first entry.
+class HocolimComplex(SimplicialComplex):
+    """The order complex of a diagram's Grothendieck poset, built only as
+    far as it is read.
 
-    The complex, and each one read off it over an up-set, carries the
-    diagram's prodsimplicial model over the same elements as its cells,
-    where ``complexes.reduced_betti`` reads its Betti numbers.  For that
-    the hocolim keeps the diagram's spaces and covers, not the diagram,
-    which keeps the hocolim.
+    Its vertices are the poset's elements, so reading them builds the poset
+    and no facet; the facets are enumerated along the poset's covers on
+    first read.  Its cells, the diagram's prodsimplicial model, are built
+    from the spaces and covers alone.  A homology map into or out of the
+    complex keeps them, with their tracked reduction.
+    """
+
+    def __init__(self, grothendieck, space_at, covers):
+        self._grothendieck = grothendieck  # computes the poset when called
+        self._space_at = space_at
+        self._covers = covers
+
+    @functools.cached_property
+    def poset(self) -> FinitePoset:
+        return self._grothendieck()
+
+    @functools.cached_property
+    def _order(self) -> tuple:
+        return self.poset.elements
+
+    @functools.cached_property
+    def _vertices(self) -> frozenset:
+        return frozenset(self._order)
+
+    @functools.cached_property
+    def _facets(self) -> frozenset:
+        return order_complex(self.poset).facets
+
+    @functools.cached_property
+    def _model(self) -> tuple:
+        return _prodsimplicial_cells(self._space_at, self._covers)
+
+    def _cells(self):
+        # the model a homology map keeps, or one dropped after the Betti
+        # numbers, so that Betti numbers alone keep no cell alive
+        model = self.__dict__.get("_model") or _prodsimplicial_cells(self._space_at, self._covers)
+        return model[0], _cell_boundary
+
+    @functools.cached_property
+    def _cell_reduction(self) -> dict:
+        return _tracked(self._model[0], _cell_boundary)
+
+
+class Hocolim:
+    """The hocolim of a diagram: the order complex of its Grothendieck
+    poset, a ``HocolimComplex`` that holds the poset.  Each vertex is a
+    pair (p, simplex of D(p)), so its diagram element is its first entry.
+
+    The complex keeps the diagram's spaces and covers, not the diagram,
+    which keeps the hocolim, and so does each complex read off it over an
+    up-set.
     """
 
     def __init__(self, diagram: InclusionDiagram):
-        self.poset = grothendieck_poset(diagram)
-        self._space_at = diagram.space_at
-        self._covers = diagram.poset.covers()
-        self.complex = order_complex(self.poset)
-        self.complex._cells = functools.partial(_prodsimplicial_cells, self._space_at, self._covers)
+        poset, space_at = diagram.poset, diagram.space_at
+        self.complex = HocolimComplex(
+            lambda: grothendieck_poset(InclusionDiagram._known(poset, space_at)), space_at, poset.covers()
+        )
 
-    def over_upset(self, keep) -> SimplicialComplex:
+    def over_upset(self, keep) -> HocolimComplex:
         """The full subcomplex on the vertices (p, s) with ``keep(p)``,
         where the elements p that ``keep`` selects form an up-set.
 
         A full subcomplex of an order complex is the order complex of the
         induced subposet, and an up-set keeps the covers of its poset, so
-        it is built along those covers with no chain cut or filtered.  Its
-        cells are those of the diagram over the up-set.
+        its poset is cut from the whole one with no chain cut or filtered.
+        Its cells are those of the diagram over the up-set.
         """
-        elements = [v for v in self.poset.elements if keep(v[0])]
-        covers = [(a, b) for a, b in self.poset.covers() if keep(a[0])]
-        komplex = order_complex(FinitePoset._from_covers(elements, covers))
-        space_at = {p: space for p, space in self._space_at.items() if keep(p)}
-        komplex._cells = functools.partial(_prodsimplicial_cells, space_at, self._covers)
-        return komplex
+        whole = self.complex
+
+        def upset() -> FinitePoset:
+            elements = [v for v in whole.poset.elements if keep(v[0])]
+            return FinitePoset._from_covers(elements, [c for c in whole.poset.covers() if keep(c[0][0])])
+
+        space_at = {p: space for p, space in whole._space_at.items() if keep(p)}
+        return HocolimComplex(upset, space_at, whole._covers)
 
 
 def _prodsimplicial_cells(space_at, covers):
-    """The cells per dimension of the prodsimplicial model of the hocolim
-    of the inclusion diagram with spaces ``space_at``, whose covers are the
-    pairs in ``covers`` between its elements, and their boundary, in the
-    form ``complexes._reduce_down`` takes.
+    """The prodsimplicial model of the hocolim of the inclusion diagram
+    with spaces ``space_at``, whose covers are the pairs in ``covers``
+    between its elements: its cells per dimension, in the form
+    ``complexes._reduce_down`` takes with ``_cell_boundary``, the elements
+    by number, and the vertex -> number map.
 
     A cell (c, t) is a chain c = p0 < ... < pk of elements and a nonempty
     simplex t of D(pk), the smallest space on the chain; its dimension is
@@ -325,7 +378,7 @@ def _prodsimplicial_cells(space_at, covers):
             for t in simplices[c[-1]]:
                 index = cells.setdefault(len(c) + len(t) - 2, {})
                 index[c, t] = len(index)
-    return cells, _cell_boundary
+    return cells, live, vertex
 
 
 def _cell_boundary(cell, row) -> dict:
@@ -400,16 +453,65 @@ class DiagramMorphism:
                     )
 
 
-def induced_map(morphism: DiagramMorphism) -> SimplicialMap:
-    """The simplicial map between hocolims: (p, s) -> (f(p), component(s))."""
-    src = hocolim(morphism.source)
-    tgt = hocolim(morphism.target)
-    vertex_map = {}
-    for v in src.complex.vertices:
-        p, s = v
-        comp = morphism.components[p]
-        vertex_map[v] = (morphism.poset_map[p], comp.image_simplex(s))
-    return SimplicialMap(src.complex, tgt.complex, vertex_map)
+class HocolimMap:
+    """The map of hocolims induced by a diagram morphism: a poset map g and,
+    at each element p, a vertex map f_p of D(p), the f_p agreeing wherever
+    the spaces are included.
+
+    A vertex (p, s) goes to (g(p), f_p(s)); the vertex map is listed on
+    first read.  A prodsimplicial cell (c, t) goes to +-(g(c), f(t)), f the
+    component at the top of the chain c, or to 0 when g repeats an element
+    of c or f is not injective on t; the sign is that of sorting f(t)'s
+    vertex numbers.  This is the cross product of the normalized chain
+    maps of g on the simplex of the chain and of f on t (Hatcher,
+    "Algebraic Topology", 2002, 3.B), so the homology map reads the cells
+    of both ends and neither end's poset or facets.
+    """
+
+    def __init__(self, source: HocolimComplex, target: HocolimComplex, poset_map, components):
+        self.source = source
+        self.target = target
+        self.poset_map = poset_map
+        self.components = components
+
+    @functools.cached_property
+    def vertex_map(self) -> dict:
+        g, f = self.poset_map, self.components
+        return {(p, s): (g[p], frozenset(map(f[p], s))) for p, s in self.source.vertices}
+
+    def __call__(self, v):
+        return self.vertex_map[v]
+
+    def _chain_map(self):
+        """The map on cells, in the form ``complexes.HomologyMap`` takes."""
+        cells, live, vertex = self.source._model
+        tgt_cells, tgt_live, tgt_vertex = self.target._model
+        number = {q: i for i, q in enumerate(tgt_live)}
+        g = [number[self.poset_map[p]] for p in live]
+        f = [self.components[p] for p in live]
+        label = list(vertex)
+
+        def image(cell):
+            if not cell:  # the empty cell
+                return (), 1
+            c, t = cell
+            chain = tuple(g[i] for i in c)
+            if len(set(chain)) < len(chain):
+                return None
+            hit = _sorted_with_sign([tgt_vertex[f[c[-1]](label[v])] for v in t])
+            return None if hit is None else ((chain, hit[0]), hit[1])
+
+        ends = [(k._model[0], k._cell_reduction) for k in (self.source, self.target)]
+        return ends[0], ends[1], image
+
+
+def induced_map(morphism: DiagramMorphism) -> HocolimMap:
+    """The map of hocolims (p, s) -> (f(p), component(s)).  It is
+    simplicial, since the morphism is order-preserving, its components are
+    simplicial and its squares commute, so nothing is checked again."""
+    return HocolimMap(
+        hocolim(morphism.source).complex, hocolim(morphism.target).complex, morphism.poset_map, morphism.components
+    )
 
 
 def homotopic_pair_check(m1: DiagramMorphism, m2: DiagramMorphism) -> bool:

@@ -9,8 +9,8 @@ the matching up-set of its Grothendieck poset.  Reduced Betti numbers of T
 are a weighted count of suspensions of join powers of X, with Whitney
 numbers of the first kind as weights; the formula side gets them by Betti
 arithmetic from those of X (the Kunneth formula for joins), building no
-complex.  Weak maps of matroids induce simplicial maps between
-representations.
+complex.  Weak maps of matroids induce maps of hocolims between
+representations, acting on the prodsimplicial cells (``diagrams``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .complexes import (
     homology_map,
     reduced_betti,
 )
-from .diagrams import FinitePoset, Hocolim, InclusionDiagram, hocolim
+from .diagrams import FinitePoset, Hocolim, HocolimMap, InclusionDiagram, hocolim
 from .labels import label_key, sort_labels
 from .matroid import FlatMap, Matroid, MatroidError, SetMap, induced_flat_map
 
@@ -99,14 +99,14 @@ def validate_immersion(immersion: Immersion):
     universe = frozenset(range(1, immersion.rho + 1))
     for f in lat.flats:
         if f not in mapping:
-            return False, f"no value at flat {set(f)}"
+            return False, f"no value at flat {sort_labels(f)}"
         if not mapping[f] <= universe:
-            return False, f"value at {set(f)} leaves 1..{immersion.rho}"
+            return False, f"value at {sort_labels(f)} leaves 1..{immersion.rho}"
         if len(mapping[f]) != immersion.rho - lat.rank_of[f]:
-            return False, f"rank reversal fails at {set(f)}"
+            return False, f"rank reversal fails at {sort_labels(f)}"
     for p, q in lat.covers():
         if not mapping[q] <= mapping[p]:
-            return False, f"order reversal fails at {set(p)} < {set(q)}"
+            return False, f"order reversal fails at {sort_labels(p)} < {sort_labels(q)}"
     return True, None
 
 
@@ -178,8 +178,9 @@ class Representation:
     is its first entry.  The subcomplexes of T over up-sets of flats, the
     atom subcomplexes among them, are built from the hocolim once per flat
     when first read, and so is Y, the hocolim over the whole lattice.  All
-    of them are hocolims, so their Betti numbers come from their
-    prodsimplicial cells, not from their simplices (``diagrams``).
+    of them are hocolims, built only as far as they are read, so their
+    Betti numbers come from their prodsimplicial cells and list no facet
+    (``diagrams``).
     """
 
     def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex, hocolim: Hocolim):
@@ -355,15 +356,15 @@ def induced_representation_map(
     x: SimplicialComplex,
     y_complex: SimplicialComplex | None = None,
     f_x: SimplicialMap | None = None,
-) -> SimplicialMap:
-    """The simplicial map T_x(M, l) -> T_y(N, l') induced by a weak map.
+) -> HocolimMap:
+    """The map T_x(M, l) -> T_y(N, l') induced by a weak map.
 
     A vertex (p, s) of T_x(M, l), s a simplex of the copies of x at the
     flat p, goes to (g(p), {(i, f_x(v)) : (i, v) in s}), where g is the
     flat map of tau, rerouted first if it sends an atom to the bottom
-    (``reroute_annihilating``).  The one check, that this vertex map is
-    simplicial into T_y(N, l'), refuses any image that is not a vertex
-    there, such as one over the bottom.
+    (``reroute_annihilating``).  It is the map of hocolims of a diagram
+    morphism, so its homology map reads prodsimplicial cells and builds
+    neither T.
     """
     if y_complex is None:
         y_complex = x
@@ -376,11 +377,16 @@ def induced_representation_map(
     return _representation_map(tau, im_m.immersion, im_n.immersion, source, target, f_x)
 
 
-def _representation_map(tau, l, l_prime, source, target, f_x) -> SimplicialMap:
-    """The map of ``induced_representation_map``, written on the given T's:
-    the flat map g of tau is derived once (one ``classify_map`` call),
-    refused unless admissible, rerouted if it annihilates an atom, and the
-    vertex map is checked by one ``SimplicialMap``."""
+def _representation_map(tau, l, l_prime, source, target, f_x) -> HocolimMap:
+    """The map of ``induced_representation_map`` between the given T's: the
+    flat map g of tau is derived once (one ``classify_map`` call), refused
+    unless admissible, and rerouted if it annihilates an atom.
+
+    Nothing else is checked: the flat map is order-preserving, f_x is
+    simplicial and is applied copywise at every flat, and admissibility,
+    l(p) in l'(g(p)), puts the image of each flat's space inside the space
+    at g(p), which is not the bottom, as no atom goes there.
+    """
     g = induced_flat_map(tau)
     if _inadmissible_flat(l, l_prime, g) is not None:
         raise NotAdmissible("the weak map does not respect the immersions")
@@ -388,9 +394,14 @@ def _representation_map(tau, l, l_prime, source, target, f_x) -> SimplicialMap:
         g = _reroute(g)
         p = _inadmissible_flat(l, l_prime, g)
         if p is not None:
-            raise NotAdmissible(f"rerouted image violates the immersions at {set(p)}")
-    vertex_map = {(p, s): (g(p), frozenset((i, f_x(v)) for i, v in s)) for p, s in source.vertices}
-    return SimplicialMap(source, target, vertex_map)
+            raise NotAdmissible(f"rerouted image violates the immersions at {sort_labels(p)}")
+    lat = g.source_lattice
+    poset_map = {p: g(p) for p in lat.flats if p != lat.bottom}
+
+    def copywise(vertex):
+        return vertex[0], f_x(vertex[1])
+
+    return HocolimMap(source, target, poset_map, dict.fromkeys(poset_map, copywise))
 
 
 def verify_surjectivity(tau, im_m, im_n, x) -> bool:

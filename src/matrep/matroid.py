@@ -156,7 +156,7 @@ class Matroid(_RankTable):
             lows = _bits(m)
             if is_ind[m]:
                 if not all(is_ind[m ^ low] for low in lows):
-                    subset = set(self._subset(m))
+                    subset = sort_labels(self._subset(m))
                     raise MatroidError(f"independents not closed under subsets at {subset}")
                 table[m] = len(lows)
                 continue
@@ -170,7 +170,7 @@ class Matroid(_RankTable):
             # x and y are largest independent subsets of S and of S+a+b: an
             # e in y - x lies in S, is a or is b, and none of them extends x
             x, y = (self._subset(_largest_independent(table, is_ind, m)) for m in failure)
-            raise ExchangeFailure(f"exchange fails for {set(x)} and {set(y)}", witness=(x, y))
+            raise ExchangeFailure(f"exchange fails for {sort_labels(x)} and {sort_labels(y)}", witness=(x, y))
         return table
 
     def is_independent(self, subset) -> bool:
@@ -312,9 +312,9 @@ def matroid_from_bases(elements, bases) -> Matroid:
     size = len(bases[0])
     for b in bases:
         if len(b) != size:
-            raise NotEquicardinal(f"bases {set(bases[0])} and {set(b)} differ in size")
+            raise NotEquicardinal(f"bases {sort_labels(bases[0])} and {sort_labels(b)} differ in size")
         if not b <= elements:
-            raise UnknownElement(f"basis {set(b)} leaves the ground set")
+            raise UnknownElement(f"basis {sort_labels(b)} leaves the ground set")
     independents = set()
     for b in bases:
         for k in range(len(b) + 1):
@@ -336,9 +336,9 @@ def matroid_from_flats(elements, flats) -> Matroid:
     family = {frozenset(f) for f in flats}
     if elems not in family:
         raise NotIntersectionClosed("the ground set (empty intersection) must be a flat")
-    for f in family:
-        if not f <= elems:
-            raise UnknownElement(f"flat {set(f)} leaves the ground set")
+    stray = [f for f in family if not f <= elems]
+    if stray:
+        raise UnknownElement(f"flat {sort_labels(min(stray, key=label_key))} leaves the ground set")
     order = sort_labels(elems)
     bit = {e: 1 << i for i, e in enumerate(order)}
     masks = {sum(map(bit.__getitem__, f)) for f in family}
@@ -461,10 +461,10 @@ class FlatMap:
         self.assignment = dict(assignment)
         for p in source_lattice.flats:
             if p not in self.assignment:
-                raise MatroidError(f"flat map not total at {set(p)}")
+                raise MatroidError(f"flat map not total at {sort_labels(p)}")
         for p, q in source_lattice.covers():
             if not self.assignment[p] <= self.assignment[q]:
-                raise MatroidError(f"flat map is not order-preserving at {set(p)} < {set(q)}")
+                raise MatroidError(f"flat map is not order-preserving at {sort_labels(p)} < {sort_labels(q)}")
 
     def __call__(self, p):
         return self.assignment[p]
@@ -515,7 +515,7 @@ def surjection_rank_witness(f: SetMap, flat) -> frozenset:
     tgt = f.target
     flat = frozenset(flat)
     if tgt.closure(flat) != flat:
-        raise MatroidError(f"{set(flat)} is not a flat of the target")
+        raise MatroidError(f"{sort_labels(flat)} is not a flat of the target")
     basis = []
     for y in sort_labels(flat):
         if tgt.is_independent(frozenset(basis) | {y}):

@@ -12,8 +12,9 @@ on every two sizes, lattice covers by comparing every pair of flats,
 simplex orders and exports by sorting every simplex through ``label_key``,
 suspended join powers as built complexes rather than by Betti arithmetic,
 matroids of GF(p) matrices by ranking every set of columns, induced
-representation maps through a morphism of diagrams, free simplicial
-actions by testing every simplex, the arrangement of atom subcomplexes
+representation maps as simplicial maps of order complexes, checked on
+every facet, ranks of homology matrices by plain rational elimination,
+free simplicial actions by testing every simplex, the arrangement of atom subcomplexes
 through the built subcomplexes and every pair of closed sets, the
 geometric lattice axioms with joins as least upper bounds among the flats,
 and simplex membership through every face of every facet.
@@ -27,6 +28,7 @@ along known covers or as joins of copies.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from matrep.complexes import SimplicialComplex, SimplicialMap
 from matrep.diagrams import FinitePoset, InclusionDiagram
@@ -95,6 +97,23 @@ def gf_rank(rows, ncols, p=997) -> int:
             if i != rank and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def rational_rank(matrix) -> int:
+    """Exact rank of a dense matrix of ints and Fractions by plain
+    elimination over the rationals."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -280,12 +299,14 @@ def matroid_of_columns(columns, p=2):
 
 
 def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
-    """The map T_x(M) -> T_y(N) induced by a weak map, as the map of
-    hocolims of a diagram morphism: the diagrams of both sides restricted
-    to the flats other than the bottom, the flat map of tau (rerouted when
-    it annihilates an atom) on the posets, and f_x applied copywise as one
-    checked simplicial map per flat."""
-    from matrep.diagrams import DiagramMorphism, induced_map
+    """The map T_x(M) -> T_y(N) induced by a weak map, on the order
+    complexes: the morphism of the diagrams of both sides restricted to the
+    flats other than the bottom, with the flat map of tau (rerouted when it
+    annihilates an atom) on the posets and f_x applied copywise as one
+    checked simplicial map per flat, and then the vertex map
+    (p, s) -> (g(p), f_p(s)) of its hocolims as a ``SimplicialMap``, checked
+    on every facet of T.  Its homology map reduces simplices."""
+    from matrep.diagrams import DiagramMorphism, hocolim
     from matrep.engstrom import (
         NotAdmissible,
         build_diagram,
@@ -312,7 +333,10 @@ def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
         vertex_map = {(i, v): (i, f_x(v)) for i, v in space.vertices}
         components[p] = SimplicialMap(space, d_n.space(g(p)), vertex_map)
     poset_map = {p: g(p) for p in d_m.poset.elements}
-    return induced_map(DiagramMorphism(d_m, d_n, poset_map, components))
+    DiagramMorphism(d_m, d_n, poset_map, components)
+    source, target = hocolim(d_m).complex, hocolim(d_n).complex
+    vertex_map = {(p, s): (poset_map[p], frozenset(map(components[p], s))) for p, s in source.vertices}
+    return SimplicialMap(source, target, vertex_map)
 
 
 def check_simplicial_and_free_by_simplices(komplex, perm):

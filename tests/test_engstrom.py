@@ -65,6 +65,7 @@ from oracles import (
     full_subcomplex,
     induced_map_by_morphism,
     matroid_of_columns,
+    rational_rank,
     restrict_diagram,
 )
 
@@ -302,21 +303,31 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
     assert keyed and not rep.T.vertices.intersection(keyed)
 
 
-def count_reductions(count_calls) -> tuple:
-    """The complexes whose homology is reduced from here on, in order: the
-    tracked simplicial reductions of ``HomologyMap``, and the untracked
-    reductions of their cells behind ``reduced_betti``."""
-    simplicial = count_calls(complexes, "_reduction", lambda komplex: komplex._reduction is None)
+def count_reductions(monkeypatch, count_calls) -> tuple:
+    """The reductions from here on, in order: the boundary function of each
+    model reduced with tracking for a homology map, cells or simplices, and
+    the complexes whose Betti numbers ``reduced_betti`` reduces, untracked,
+    from their cells."""
+    tracked = []
+    original = complexes._tracked
+
+    def counting(cells, boundary):
+        tracked.append(boundary)
+        return original(cells, boundary)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matrep" and getattr(module, "_tracked", None) is original:
+            monkeypatch.setattr(module, "_tracked", counting)
     cellular = count_calls(complexes, "reduced_betti", lambda komplex: komplex._betti_numbers is None)
-    return simplicial, cellular
+    return tracked, cellular
 
 
-def test_expected_betti_reduces_only_the_template(count_calls):
+def test_expected_betti_reduces_only_the_template(monkeypatch, count_calls):
     x = sphere(1)
-    simplicial, cellular = count_reductions(count_calls)
+    tracked, cellular = count_reductions(monkeypatch, count_calls)
     assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
-    assert simplicial == [] and cellular == [x]
+    assert tracked == [] and cellular == [x]
 
 
 def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
@@ -330,12 +341,12 @@ def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
         return built[-1]
 
     monkeypatch.setattr(Hocolim, "over_upset", counting)
-    simplicial, cellular = count_reductions(count_calls)
+    tracked, cellular = count_reductions(monkeypatch, count_calls)
     assert verify_xarrangement(rep, x).all_pass
     upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
     # x, Y and each up-set complex once, the last two on their cell models;
     # no tracked reduction
-    assert simplicial == [] and cellular[0] is x
+    assert tracked == [] and cellular[0] is x
     assert len(cellular) == len(set(map(id, cellular))) == len(upper_flats) + 2 == 28
     assert len(built) == len(upper_flats)
     assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
@@ -351,6 +362,50 @@ def test_u45_over_s1_betti_from_cells_under_a_second():
     assert time.perf_counter() - start < 1.0
     assert betti == expected_betti(im, x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert rep.T._simplices is None and rep.T._reduction is None
+    assert "_facets" not in vars(rep.T)
+
+
+def test_u56_over_s1_betti_from_cells_under_two_seconds():
+    # T's Grothendieck poset has 20,580 elements and its order complex is
+    # out of reach; T is never built, and its 49,020 cells are
+    im, x = immersed(uniform(5, 6), rho=5), sphere(1)
+    start = time.perf_counter()
+    betti = reduced_betti(build_representation(im, x).T)
+    assert time.perf_counter() - start < 2.0
+    assert betti == expected_betti(im, x)
+
+
+def flat_map_morphism(d_m, d_n, flat_map):
+    """The diagram morphism d_m -> d_n of a flat map, with inclusions of
+    spaces as its components."""
+    from matrep.diagrams import DiagramMorphism
+
+    poset_map = {p: flat_map(p) for p in d_m.poset.elements}
+    components = {}
+    for p in d_m.poset.elements:
+        src = d_m.space(p)
+        components[p] = SimplicialMap(src, d_n.space(poset_map[p]), {v: v for v in src.vertices})
+    return DiagramMorphism(d_m, d_n, poset_map, components)
+
+
+def test_betti_numbers_and_homology_maps_build_no_poset_or_facet(monkeypatch):
+    """T's Betti numbers and the homology maps of a weak map and of a
+    diagram morphism read prodsimplicial cells only: no Grothendieck poset
+    and no order complex is built."""
+
+    def refuse(*args):
+        pytest.fail("built a Grothendieck poset or an order complex")
+
+    monkeypatch.setattr(diagrams, "order_complex", refuse)
+    monkeypatch.setattr(diagrams, "grothendieck_poset", refuse)
+    m, n, l = rank3_chain()
+    s0 = sphere(0)
+    assert reduced_betti(build_representation(immersed(m), s0).T) == expected_betti(immersed(m), s0)
+    hm = homology_map(induced_representation_map(identity_map(m, n), immersed(m), immersed(n), s0))
+    assert hm.target_betti == expected_betti(immersed(n), s0) and hm.is_surjective()
+    d_m, d_l = build_diagram(immersed(m), s0), build_diagram(immersed(l), s0)
+    morphism = flat_map_morphism(d_m, d_l, induced_flat_map(identity_map(m, l)))
+    assert homology_map(diagrams.induced_map(morphism)).is_surjective()
 
 
 def test_pipeline_leaves_no_cycles_to_the_collector():
@@ -428,24 +483,28 @@ def test_cellular_betti_equals_simplicial(instance):
 
 
 def test_betti_numbers_after_a_homology_map_come_from_the_cells(monkeypatch):
-    """A homology map into T caches T's simplicial reduction; T's Betti
-    numbers are still reduced from its prodsimplicial cells, once."""
+    """A homology map into T caches the tracked reduction of T's cells and
+    lists none of T's simplices; T's Betti numbers are reduced from the
+    same cells, untracked, once."""
     m, n, _ = rank3_chain()
     s0 = sphere(0)
     hm = homology_map(induced_representation_map(identity_map(m, n), immersed(m), immersed(n), s0))
+    expected = expected_betti(immersed(n), s0)
     target = hm.map.target
-    assert target._reduction is not None and target._betti_numbers is None
+    assert "_cell_reduction" in vars(target) and target._betti_numbers is None
+    assert target._reduction is None and target._simplices is None
     read = []
-    original = target._cells
+    original = complexes._reduce_down
 
-    def cells():
-        read.append(original())
-        return read[-1]
+    def reduce_down(cells, boundary, track):
+        read.append((cells, boundary, track))
+        return original(cells, boundary, track)
 
-    monkeypatch.setattr(target, "_cells", cells)
-    assert reduced_betti(target) == hm.target_betti == expected_betti(immersed(n), s0)
+    monkeypatch.setattr(complexes, "_reduce_down", reduce_down)
+    assert reduced_betti(target) == hm.target_betti == expected
     assert reduced_betti(target) is target._betti_numbers
-    assert [boundary for _, boundary in read] == [diagrams._cell_boundary]
+    assert len(read) == 1 and read[0][0] is target._cells()[0]
+    assert read[0][1:] == (diagrams._cell_boundary, False)
 
 
 def test_formula_agreement_all_instances():
@@ -686,8 +745,6 @@ def test_induced_map_with_template_map():
     assert hm.target_betti == bv({0: 2, 1: 3})
 
 
-NONZERO_GF2_PAIR = st.sampled_from([(1, 0), (0, 1), (1, 1)])
-BIT = st.integers(min_value=0, max_value=1)
 
 
 def reversed_immersion(immersion):
@@ -699,7 +756,8 @@ def reversed_immersion(immersion):
 
 @st.composite
 def weak_map_instances(draw):
-    """A weak map tau: M -> N, immersions of M and N at one rho, either
+    """A weak map tau: M -> N of uniform or GF(2) or GF(3) column
+    matroids, immersions of M and N at one rho, either
     canonical or reversed, and an injective template map f_x: x -> y,
     S0 -> S0, S1 -> S1 or S0 -> S1.  Over S1 the ranks stay at most 2."""
     s0, s1 = sphere(0), sphere(1)
@@ -715,15 +773,18 @@ def weak_map_instances(draw):
         values = list(t.elements) + ["o"]
         assignment = {e: draw(st.sampled_from(values)) for e in m.elements}
     else:
-        # M's columns are N's columns pulled back along the map, o to the
-        # zero column, plus an extra bit over S0: ranks can only drop
-        target = draw(st.lists(NONZERO_GF2_PAIR, min_size=1, max_size=3))
+        # M's columns over GF(2) or GF(3) are N's columns pulled back along
+        # the map, o to the zero column, plus an extra entry over S0: ranks
+        # can only drop
+        p = draw(st.sampled_from([2, 3]))
+        entry = st.integers(0, p - 1)
+        target = draw(st.lists(st.tuples(entry, entry).filter(any), min_size=1, max_size=3))
         pulled = draw(st.lists(st.integers(0, len(target)), min_size=1, max_size=4))
         columns = [
-            (target[j] if j < len(target) else (0, 0)) + (() if small else (draw(BIT),))
+            (target[j] if j < len(target) else (0, 0)) + (() if small else (draw(entry),))
             for j in pulled
         ]
-        m, t = matroid_of_columns(columns), matroid_of_columns(target)
+        m, t = matroid_of_columns(columns, p), matroid_of_columns(target, p)
         assignment = {e: j + 1 if j < len(target) else "o" for e, j in zip(m.elements, pulled)}
     rho = max(m.rank_total, t.rank_total) + 1 - draw(st.integers(0, 1))
     l, l_prime = canonical_immersion(m, rho), canonical_immersion(t, rho)
@@ -738,13 +799,16 @@ def weak_map_instances(draw):
 
 
 def _outcome(route, *args):
-    """The vertex map and homology matrices of a route's map, or the type
-    of the refusal."""
+    """The vertex map of a route's map and the facts of its homology map
+    that no choice of basis changes: the Betti numbers of both ends, the
+    matrix rank per degree and surjectivity; or the type of the refusal."""
     try:
         rmap = route(*args)
     except (NotAdmissible, NoAtomInImage) as refusal:
         return type(refusal)
-    return rmap.vertex_map, homology_map(rmap).matrices
+    hm = homology_map(rmap)
+    ranks = {k: rational_rank(matrix) for k, matrix in hm.matrices.items()}
+    return rmap.vertex_map, hm.source_betti, hm.target_betti, ranks, hm.is_surjective()
 
 
 def rerouted_past_the_immersion():
@@ -762,8 +826,11 @@ def rerouted_past_the_immersion():
 @given(instance=weak_map_instances())
 @example(instance=rerouted_past_the_immersion())
 def test_induced_map_agrees_with_diagram_morphism_route(instance):
-    """Reading the map off T gives the vertex map, homology matrices and
-    refusals of the map of hocolims of a diagram morphism."""
+    """The map of a weak map, whose homology map reduces prodsimplicial
+    cells, has the vertex map, refusals and basis-free homology of the
+    simplicial map of order complexes, checked on every facet of T, whose
+    homology map reduces simplices.  The two models' homology bases
+    differ, so matrices are not compared entrywise."""
     assert classify_map(instance[0]).is_weak
     assert _outcome(induced_representation_map, *instance) == _outcome(
         induced_map_by_morphism, *instance
@@ -925,13 +992,71 @@ def test_functoriality_on_homology():
         assert h_ml.matrices.get(k, []) == product.get(k, [])
 
 
-def test_composite_flat_maps_are_homotopic_pair(count_calls):
+def test_identity_weak_maps_give_identity_matrices():
+    for name, im, template in representation_instances():
+        m = im.matroid
+        hm = homology_map(induced_representation_map(identity_map(m, m), im, im, template))
+        assert hm.source_betti == hm.target_betti == expected_betti(im, template), name
+        for k, matrix in hm.matrices.items():
+            size = hm.source_betti[k]
+            assert matrix == [[int(i == j) for j in range(size)] for i in range(size)], name
+
+
+@st.composite
+def composable_weak_maps(draw):
+    """Weak maps tau1: M -> N and tau2: N -> L of column matroids over GF(2)
+    or GF(3), canonically immersed at their largest rank, with S^0 as the
+    template.  L's columns are nonzero, and each matroid's columns are those
+    of its images under the map with one more entry: the rank of an image
+    is never larger, and no element, so no atom, goes to the bottom.
+    Canonical immersions are admissible for any weak map, which never
+    raises the rank of a flat."""
+    p = draw(st.sampled_from([2, 3]))
+    entry = st.integers(0, p - 1)
+    columns = [draw(st.lists(st.tuples(entry, entry).filter(any), min_size=1, max_size=3))]
+    maps = []
+    for size in (3, 4):
+        images = draw(st.lists(st.integers(0, len(columns[0]) - 1), min_size=1, max_size=size))
+        columns.insert(0, [columns[0][j] + (draw(entry),) for j in images])
+        maps.insert(0, {e: j + 1 for e, j in enumerate(images, 1)})
+    m, n, l = (matroid_of_columns(c, p) for c in columns)
+    rho = max(m.rank_total, n.rank_total, l.rank_total)
+    tau1, tau2 = SetMap(m, n, maps[0]), SetMap(n, l, maps[1])
+    tau21 = SetMap(m, l, {e: tau2(tau1(e)) for e in m.elements})
+    return [immersed(matroid, rho) for matroid in (m, n, l)], tau1, tau2, tau21
+
+
+@settings(max_examples=25, deadline=None)
+@given(instance=composable_weak_maps())
+def test_homology_maps_of_weak_maps_compose_on_cells(instance):
+    """H(tau2) H(tau1) = H(tau2 tau1) on the cells.  The flat map of
+    tau2 tau1 lies below the composite of the flat maps, so the two diagram
+    morphisms they give are a homotopic pair and must agree on homology."""
+    from matrep.complexes import compose_matrices
+    from matrep.diagrams import homotopic_pair_check
+
+    (im_m, im_n, im_l), tau1, tau2, tau21 = instance
+    s0 = sphere(0)
+    h1 = homology_map(induced_representation_map(tau1, im_m, im_n, s0))
+    h2 = homology_map(induced_representation_map(tau2, im_n, im_l, s0))
+    h21 = homology_map(induced_representation_map(tau21, im_m, im_l, s0))
+    product = compose_matrices(h2, h1)
+    for k in set(h21.matrices) | set(product):
+        assert h21.matrices.get(k, []) == product.get(k, []), k
+    lat_m, lat_l = im_m.matroid.lattice(), im_l.matroid.lattice()
+    d_m = restrict_diagram(build_diagram(im_m, s0), [p for p in lat_m.flats if p != lat_m.bottom])
+    d_l = restrict_diagram(build_diagram(im_l, s0), [p for p in lat_l.flats if p != lat_l.bottom])
+    direct = flat_map_morphism(d_m, d_l, induced_flat_map(tau21))
+    composed = flat_map_morphism(d_m, d_l, induced_flat_map(tau1).then(induced_flat_map(tau2)))
+    assert homotopic_pair_check(direct, composed)
+
+
+def test_composite_flat_maps_are_homotopic_pair(monkeypatch, count_calls):
     # the direct flat map of a composite sits below the composite of the
     # flat maps, so the two diagram morphisms induce homotopic maps; their
     # homology matrices must then be equal.  Both maps run between the same
     # two diagrams, so they share two hocolims and two reductions.
-    from matrep.diagrams import DiagramMorphism, homotopic_pair_check, induced_map
-    from matrep.matroid import induced_flat_map
+    from matrep.diagrams import homotopic_pair_check, induced_map
 
     m, _, l = rank3_chain()
     _, n, _ = rank3_chain()
@@ -940,28 +1065,20 @@ def test_composite_flat_maps_are_homotopic_pair(count_calls):
     d_l = build_diagram(immersed(l), s0)
     direct = induced_flat_map(identity_map(m, l))
     composed = induced_flat_map(identity_map(m, n)).then(induced_flat_map(identity_map(n, l)))
-
-    def morphism_for(flat_map):
-        poset_map = {p: flat_map(p) for p in d_m.poset.elements}
-        components = {}
-        for p in d_m.poset.elements:
-            src = d_m.space(p)
-            components[p] = SimplicialMap(src, d_l.space(poset_map[p]), {v: v for v in src.vertices})
-        return DiagramMorphism(d_m, d_l, poset_map, components)
-
-    m1 = morphism_for(direct)
-    m2 = morphism_for(composed)
+    m1 = flat_map_morphism(d_m, d_l, direct)
+    m2 = flat_map_morphism(d_m, d_l, composed)
     assert homotopic_pair_check(m1, m2)
     built = count_calls(diagrams, "grothendieck_poset")
-    reduced = count_reductions(count_calls)
+    tracked, cellular = count_reductions(monkeypatch, count_calls)
     h1 = homology_map(induced_map(m1))
     h2 = homology_map(induced_map(m2))
     assert h1.matrices == h2.matrices
-    # each of the two Y's gets one tracked reduction, and no Betti numbers
+    # each of the two Y's gets one tracked reduction, of its cells, which
+    # both maps read; no Grothendieck poset is built and no Betti numbers
     # are reduced apart from them
-    simplicial, cellular = reduced
-    assert len(built) == 2 and len(simplicial) == 2 and cellular == []
-    assert {id(y) for y in simplicial} == {id(h1.map.source), id(h1.map.target)}
+    assert built == [] and cellular == [] and tracked == [diagrams._cell_boundary] * 2
+    for end in ("source", "target"):
+        assert getattr(h1.map, end) is getattr(h2.map, end)
 
 
 def test_colim_agrees_with_hocolim_on_full_lattice_diagrams():

@@ -207,6 +207,41 @@ def test_missing_intersection_is_named_alike_under_every_hash_seed():
     assert outs == {"NotIntersectionClosed missing intersection []\n"}
 
 
+def test_refusals_name_sets_alike_under_every_hash_seed():
+    """Refusals print sets of string labels in label order, and a stray
+    flat is the first one in label order, whatever the string hashes."""
+    src = str(Path(matrep.__file__).resolve().parents[1])
+    probe = (
+        "from matrep.engstrom import ImmersedMatroid, Immersion, canonical_immersion\n"
+        "from matrep.matroid import matroid_from_bases, matroid_from_flats\n"
+        "m = matroid_from_bases('abc', ['ab', 'ac', 'bc'])\n"
+        "values = canonical_immersion(m, 2).as_dict()\n"
+        "values[frozenset('abc')] = frozenset({1})\n"
+        "for build in (\n"
+        "    lambda: matroid_from_flats('abc', ['abc', 'xy', 'zw']),\n"
+        "    lambda: matroid_from_bases('abc', ['ab', 'abc']),\n"
+        "    lambda: ImmersedMatroid(m, Immersion.from_dict(m, 2, values)),\n"
+        "):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert outs == {
+        "UnknownElement flat ['w', 'z'] leaves the ground set\n"
+        "NotEquicardinal bases ['a', 'b'] and ['a', 'b', 'c'] differ in size\n"
+        "InvalidImmersion rank reversal fails at ['a', 'b', 'c']\n"
+    }
+
+
 def test_matroid_from_flats_rejects_non_matroidal_family():
     with pytest.raises(NotMatroidal):
         matroid_from_flats([1, 2, 3], [frozenset(), frozenset({1}), frozenset({1, 2, 3})])
