@@ -24,6 +24,14 @@ and covers alone, and its Betti numbers are read there
 (``complexes.reduced_betti``).  A hocolim complex builds its Grothendieck
 poset, and then its facets, only when they are read.
 
+Its faces are counted from the diagram too, so face counts, ``dim`` and
+``is_empty`` build nothing.  Each simplex (p0, s0) < ... < (pj, sj) of the
+order complex lies in the interior of exactly one cell (c, t): c is the
+chain of its distinct p's and t = sj, since a cell's interior holds the
+chains that use every element of c and end at t.  So f_j is the sum over
+the cells of the chains of j + 1 elements inside one, which depends only
+on the length of c and the size of t (``_hocolim_face_counts``).
+
 A diagram morphism induces a map of hocolims (``HocolimMap``) that acts
 on the prodsimplicial cells, so its homology map builds neither end's
 poset or facets.
@@ -32,6 +40,7 @@ poset or facets.
 from __future__ import annotations
 
 import functools
+import math
 
 from .complexes import SimplicialComplex, _sorted_with_sign, _tracked
 from .labels import sort_labels
@@ -286,6 +295,26 @@ class HocolimComplex(SimplicialComplex):
         return order_complex(self.poset).facets
 
     @functools.cached_property
+    def _face_counts(self) -> dict:
+        return _hocolim_face_counts(self._space_at, self._covers)
+
+    def face_counts(self) -> dict:
+        """Simplices per dimension, counted from the spaces and covers
+        (``_hocolim_face_counts``) with no simplex listed."""
+        return dict(self._face_counts)
+
+    @property
+    def dim(self) -> int:
+        return max(self._face_counts, default=-1)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._face_counts
+
+    def __repr__(self):
+        return f"HocolimComplex({self._face_counts.get(0, 0)} vertices, dimension {self.dim})"
+
+    @functools.cached_property
     def _model(self) -> tuple:
         return _prodsimplicial_cells(self._space_at, self._covers)
 
@@ -335,6 +364,73 @@ class Hocolim:
         return HocolimComplex(upset, space_at, whole._covers)
 
 
+def _live_upsets(space_at, covers):
+    """The elements of the inclusion diagram with spaces ``space_at`` and
+    covers ``covers`` whose space is not empty, and their up-sets among
+    them in reverse topological order (``_close``).
+
+    The space of an element above an empty one is empty, so these elements
+    form a down-set, and the covers between them are its covers.
+    """
+    live = [p for p, space in space_at.items() if not space.is_empty]
+    alive = set(live)
+    up, _ = _close(live, [(p, q) for p, q in covers if p in alive and q in alive])
+    return live, up
+
+
+def _hocolim_face_counts(space_at, covers) -> dict:
+    """Dimension -> the number of simplices of the order complex of the
+    Grothendieck poset of the inclusion diagram with spaces ``space_at``
+    and covers ``covers``, none of them listed.
+
+    Each simplex lies inside exactly one prodsimplicial cell, so f_j is the
+    sum over the elements q, chain lengths a and simplex sizes b of (the
+    chains of a elements with top q) * (the simplices of D(q) with b
+    vertices) * ``_interior_chains(a, b, j)``.
+    """
+    live, up = _live_upsets(space_at, covers)
+    ending = {p: {1: 1} for p in live}  # p -> a -> chains of a elements with top p
+    for p, above in reversed(up.items()):  # every element below p comes first
+        for q in above - {p}:
+            for a, n in ending[p].items():
+                ending[q][a + 1] = ending[q].get(a + 1, 0) + n
+    weight = {}  # (a, b) -> the sum over q of chains times simplices
+    for q in live:
+        for d, f in space_at[q].face_counts().items():
+            for a, n in ending[q].items():
+                weight[a, d + 1] = weight.get((a, d + 1), 0) + n * f
+    counts = {}
+    for (a, b), w in weight.items():
+        for j in range(a - 1, a + b - 1):
+            counts[j] = counts.get(j, 0) + w * _interior_chains(a, b, j)
+    return {j: counts[j] for j in sorted(counts)}
+
+
+@functools.cache
+def _interior_chains(a, b, j) -> int:
+    """The chains of j + 1 elements of [a] x (the nonempty faces of a
+    (b-1)-simplex), strictly increasing in the product order, that meet
+    every level of [a] and end at (a, the whole simplex): the simplices of
+    dimension j inside a prodsimplicial cell of a chain of a elements and
+    a simplex of b vertices.  It is nonzero exactly for a-1 <= j <= a+b-2.
+
+    The chain's distinct faces form a chain of m faces ending at the whole
+    simplex, an ordered partition of its b vertices into m blocks, of
+    which there are m! S(b, m).  Each of its j steps climbs a level, a face
+    or both: C(j, a-1) ways to place the a-1 level steps, and C(a-1,
+    m+a-j-2) ways to choose those of them that climb a face too, so that
+    the other j-a+1 steps climb a face alone.
+    """
+    return math.comb(j, a - 1) * sum(
+        math.comb(a - 1, m + a - j - 2) * _surjections(b, m) for m in range(max(1, j + 2 - a), min(b, j + 1) + 1)
+    )
+
+
+def _surjections(b, m) -> int:
+    """m! S(b, m), the maps of a b-set onto an m-set, by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(m, i) * (m - i) ** b for i in range(m + 1))
+
+
 def _prodsimplicial_cells(space_at, covers):
     """The prodsimplicial model of the hocolim of the inclusion diagram
     with spaces ``space_at``, whose covers are the pairs in ``covers``
@@ -358,7 +454,7 @@ def _prodsimplicial_cells(space_at, covers):
     p alone and p followed by each chain starting above p, so they are
     built top-down from the up-sets of the covers.
     """
-    live = [p for p, space in space_at.items() if not space.is_empty]
+    live, up = _live_upsets(space_at, covers)
     number = {p: i for i, p in enumerate(live)}
     vertex = {}
     simplices = []
@@ -368,7 +464,6 @@ def _prodsimplicial_cells(space_at, covers):
         simplices.append(
             [tuple(sorted(map(vertex_number.__getitem__, s))) for d, ss in space._ranked().items() if d >= 0 for s in ss]
         )
-    up, _ = _close(live, [(p, q) for p, q in covers if p in number and q in number])
     cells = {-1: {(): 0}}
     chains = {}
     for p, above in up.items():  # every element above p comes first

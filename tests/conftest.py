@@ -27,3 +27,16 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def refuse_to_build_t(monkeypatch):
+    """Fail the test if it builds a Grothendieck poset or an order complex,
+    until ``monkeypatch.undo()``."""
+    from matrep import diagrams
+
+    def refuse(*args):
+        pytest.fail("built a Grothendieck poset or an order complex")
+
+    monkeypatch.setattr(diagrams, "order_complex", refuse)
+    monkeypatch.setattr(diagrams, "grothendieck_poset", refuse)

@@ -6,7 +6,8 @@ by signed chain counting and by the defining recursion over every flat,
 boundary matrices from the labelled simplices, matrix ranks by a
 self-contained prime-field elimination, weak maps by the
 injective-preimage definition, maximal chains
-of a poset by enumerating its subsets, covers by testing every triple,
+of a poset by enumerating its subsets, the faces of an order complex by
+counting chains up the covers of its poset, covers by testing every triple,
 Grothendieck posets by comparing every pair of elements, the exchange axiom
 on every two sizes, lattice covers by comparing every pair of flats,
 simplex orders and exports by sorting every simplex through ``label_key``,
@@ -162,6 +163,37 @@ def maximal_chains_by_brute_force(poset) -> set:
         if all(poset.leq(a, b) or poset.leq(b, a) for a, b in itertools.combinations(c, 2))
     ]
     return {c for c in chains if not any(c < d for d in chains)}
+
+
+def chain_counts(poset) -> dict:
+    """Dimension j -> the chains of j + 1 elements of the poset, the faces
+    of its order complex, counted without listing them: the chains whose
+    least element is x are x alone and x before each chain whose least
+    element lies strictly above x, found by climbing the covers."""
+    upper = {x: [] for x in poset.elements}
+    for a, b in poset.covers():
+        upper[a].append(b)
+    above, starting = {}, {}
+
+    def strictly_above(x):
+        if x not in above:
+            above[x] = set(upper[x]).union(*map(strictly_above, upper[x]))
+        return above[x]
+
+    def chains_from(x):
+        if x not in starting:
+            counts = {0: 1}
+            for y in strictly_above(x):
+                for j, n in chains_from(y).items():
+                    counts[j + 1] = counts.get(j + 1, 0) + n
+            starting[x] = counts
+        return starting[x]
+
+    total = {}
+    for x in poset.elements:
+        for j, n in chains_from(x).items():
+            total[j] = total.get(j, 0) + n
+    return dict(sorted(total.items()))
 
 
 def covers_by_definition(poset) -> set:

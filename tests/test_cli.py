@@ -1,10 +1,12 @@
+import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from matrep import cli
+from matrep import catalog, cli, engstrom
 from matrep.matroid import MAX_ELEMENTS
 
 
@@ -245,6 +247,69 @@ def test_represent_document_rho(tmp_path, capsys, doc_rho, options, code, betti)
     got, report = run_cli(capsys, "represent", str(path), "S0", *options)
     assert got == code
     assert (report and report["results"]["betti_constructed"]) == betti
+
+
+def test_represent_builds_no_t(monkeypatch, capsys, refuse_to_build_t):
+    """Without --out, represent reads T's Betti numbers off its cells and
+    counts its faces from the diagram, so neither its Grothendieck poset
+    nor any facet or simplex of it is built."""
+    built = []
+
+    def recording(*args):
+        built.append(engstrom.build_representation(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_representation", recording)
+    code, report = run_cli(capsys, "represent", "U4,5", "S1")
+    assert code == 0
+    # the counts of the order complex as listed before faces were counted
+    assert report["results"]["face_counts"] == {
+        "0": 2250, "1": 40530, "2": 189480, "3": 362880, "4": 308880, "5": 97200
+    }
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "represent", "U5,6", "S1", "--rho", "5")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    betti = {int(k): v for k, v in report["results"]["betti_constructed"].items()}
+    assert betti == {3: 5, 4: 15, 5: 20, 6: 15, 7: 6}
+    counts = {int(k): v for k, v in report["results"]["face_counts"].items()}
+    # the reduced Euler characteristic, from the faces and from the Betti numbers
+    assert sum((-1) ** j * f for j, f in counts.items()) - 1 == sum((-1) ** k * b for k, b in betti.items())
+    for rep in built:
+        assert rep.T._simplices is None
+        assert "poset" not in rep.T.__dict__ and "_facets" not in rep.T.__dict__
+
+
+def pinned_represent_arguments(name, tmp_path):
+    """The represent arguments of a benchmark pin such as "U3,4 x S1 rho=3".
+    The pin of the five-point matroid uses its documented immersion, so it
+    is handed over in a matroid document."""
+    matroid, template, rho = re.fullmatch(r"(\S+) x (S\d+)(?: rho=(\d+))?", name).groups()
+    if matroid != "explicit":
+        return [matroid, template] + (["--rho", rho] if rho else [])
+    m, immersion = catalog.five_point_matroid(), catalog.five_point_immersion()
+    doc = {
+        "elements": sorted(m.elements),
+        "independents": [sorted(s) for s in m.independents],
+        "rho": immersion.rho,
+        "immersion": [{"flat": sorted(f), "bits": sorted(b)} for f, b in immersion.as_dict().items()],
+    }
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    return [str(path), template]
+
+
+def test_represent_exports_match_the_benchmark_pins(tmp_path, capsys):
+    """`represent --out` writes, byte for byte, the export of T pinned in
+    bench/pins.json, and reports the pinned face counts."""
+    pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json").read_text())
+    assert len(pins) == 11
+    out = tmp_path / "t.json"
+    for name, pin in pins.items():
+        code, report = run_cli(capsys, "represent", *pinned_represent_arguments(name, tmp_path), "--out", str(out))
+        assert code == 0, name
+        assert report["results"]["face_counts"] == pin["face_counts"], name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"], name
 
 
 def test_truncate_command(tmp_path, capsys):

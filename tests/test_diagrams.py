@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from matrep import diagrams
 from matrep.catalog import contrast_diagrams
 from matrep.complexes import (
     BettiVector,
@@ -30,6 +33,7 @@ from matrep.diagrams import (
 from matrep.labels import sort_labels
 
 from oracles import (
+    chain_counts,
     compose,
     covers_by_definition,
     face_diagram,
@@ -139,6 +143,19 @@ def test_grothendieck_poset_matches_definition(diagram):
     assert hocolim(diagram).complex.facets == maximal_chains_by_brute_force(reference)
 
 
+@settings(max_examples=60, deadline=None)
+@given(diagram=random_inclusion_diagrams())
+def test_hocolim_face_counts_equal_chains_of_the_definition(diagram):
+    """On any poset, with empty spaces too, the faces counted from the
+    diagram equal the chains of the Grothendieck poset by definition and
+    the simplices listed off the order complex."""
+    hc = hocolim(diagram).complex
+    counts = hc.face_counts()
+    assert counts == chain_counts(grothendieck_poset_by_definition(diagram))
+    assert counts == SimplicialComplex.face_counts(hc)
+    assert (hc.dim, hc.is_empty) == (SimplicialComplex.dim.fget(hc), SimplicialComplex.is_empty.fget(hc))
+
+
 NESTED_LABELS = st.recursive(
     st.integers(min_value=0, max_value=3) | st.sampled_from(["a", "b"]),
     lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=2),
@@ -244,9 +261,34 @@ def test_hocolim_over_point_preserves_betti():
         assert reduced_betti(hocolim(d).complex) == reduced_betti(komplex)
 
 
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 4) for b in range(1, 5)])
+def test_chains_inside_a_cell_by_enumeration(a, b):
+    """The simplices inside one prodsimplicial cell, of a chain of a
+    elements and a simplex of b vertices, listed one by one: the chains of
+    [a] x (the nonempty faces of the simplex) that meet every level and end
+    at the top."""
+    faces = [frozenset(s) for k in range(1, b + 1) for s in itertools.combinations(range(b), k)]
+    elements = [(level, t) for level in range(a) for t in faces]
+    below = {x: [y for y in elements if y != x and y[0] <= x[0] and y[1] <= x[1]] for x in elements}
+    counts = {}
+
+    def descend(x, length, levels):
+        if len(levels) == a:
+            counts[length - 1] = counts.get(length - 1, 0) + 1
+        for y in below[x]:
+            descend(y, length + 1, levels | {y[0]})
+
+    descend((a - 1, frozenset(range(b))), 1, {a - 1})
+    assert min(counts) == a - 1 and max(counts) == a + b - 2
+    assert {j: diagrams._interior_chains(a, b, j) for j in range(a + b + 1)} == {
+        j: counts.get(j, 0) for j in range(a + b + 1)
+    }
+
+
 def test_hocolim_empty_diagram():
     d = InclusionDiagram(FinitePoset([], []), {})
     assert hocolim(d).complex.is_empty
+    assert hocolim(d).complex.face_counts() == {} and hocolim(d).complex.dim == -1
     assert colim(d).is_empty
 
 

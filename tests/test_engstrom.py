@@ -60,6 +60,7 @@ from matrep.matroid import SetMap, classify_map, induced_flat_map, uniform
 
 from oracles import (
     arrangement_matches_lattice_by_definition,
+    chain_counts,
     check_simplicial_and_free_by_simplices,
     closed_atom_sets_by_subcomplexes,
     full_subcomplex,
@@ -388,16 +389,10 @@ def flat_map_morphism(d_m, d_n, flat_map):
     return DiagramMorphism(d_m, d_n, poset_map, components)
 
 
-def test_betti_numbers_and_homology_maps_build_no_poset_or_facet(monkeypatch):
+def test_betti_numbers_and_homology_maps_build_no_poset_or_facet(refuse_to_build_t):
     """T's Betti numbers and the homology maps of a weak map and of a
     diagram morphism read prodsimplicial cells only: no Grothendieck poset
     and no order complex is built."""
-
-    def refuse(*args):
-        pytest.fail("built a Grothendieck poset or an order complex")
-
-    monkeypatch.setattr(diagrams, "order_complex", refuse)
-    monkeypatch.setattr(diagrams, "grothendieck_poset", refuse)
     m, n, l = rank3_chain()
     s0 = sphere(0)
     assert reduced_betti(build_representation(immersed(m), s0).T) == expected_betti(immersed(m), s0)
@@ -505,6 +500,67 @@ def test_betti_numbers_after_a_homology_map_come_from_the_cells(monkeypatch):
     assert reduced_betti(target) is target._betti_numbers
     assert len(read) == 1 and read[0][0] is target._cells()[0]
     assert read[0][1:] == (diagrams._cell_boundary, False)
+
+
+def hocolim_complexes(rep) -> list:
+    """T, Y and every up-set complex of a representation."""
+    lat = rep.lattice
+    return [rep.T, rep.Y] + [rep.upset_complex(f) for f in lat.flats if f != lat.bottom]
+
+
+def reduced_euler(counts) -> int:
+    return sum((-1) ** j * f for j, f in counts.items()) - 1
+
+
+def test_face_counts_and_dim_build_no_poset_facet_or_table(monkeypatch, refuse_to_build_t):
+    """A hocolim complex counts its faces, and reads its dimension and
+    emptiness, from its diagram; the counts equal those of the simplices
+    listed off the order complex once building it is allowed again."""
+    rep = build_representation(immersed(uniform(4, 5), rho=4), sphere(0))
+    komplexes = hocolim_complexes(rep)
+    counted = [(k.face_counts(), k.dim, k.is_empty, repr(k)) for k in komplexes]
+    for komplex in komplexes:
+        assert komplex._simplices is None
+        assert "poset" not in vars(komplex) and "_facets" not in vars(komplex)
+    assert counted[0][0] == {0: 230, 1: 880, 2: 680}
+    assert counted[0][1:] == (2, False, "HocolimComplex(230 vertices, dimension 2)")
+    monkeypatch.undo()
+    for komplex, (counts, dim, is_empty, _) in zip(komplexes, counted):
+        assert counts == SimplicialComplex.face_counts(komplex)
+        assert dim == SimplicialComplex.dim.fget(komplex)
+        assert is_empty == SimplicialComplex.is_empty.fget(komplex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=column_immersions())
+def test_counted_faces_equal_listed_faces(instance):
+    """Two routes to the faces of T, Y and every up-set complex: counted
+    from the diagram, and counted as chains of the Grothendieck poset,
+    besides listed off T's order complex; and the reduced Euler
+    characteristic of the counts equals that of the Betti numbers reduced
+    on the cells.  Y is not listed: over S^1 it has some 2 * 10^5
+    simplices."""
+    im, x = instance
+    rep = build_representation(im, x)
+    for komplex in hocolim_complexes(rep):
+        counts = komplex.face_counts()
+        betti = reduced_betti(komplex)
+        assert komplex._simplices is None
+        assert reduced_euler(counts) == sum((-1) ** k * b for k, b in betti.items())
+        assert counts == chain_counts(komplex.poset)
+    assert rep.T.face_counts() == SimplicialComplex.face_counts(rep.T)
+
+
+@pytest.mark.parametrize(
+    "r, n, k, betti",
+    [(5, 6, 1, bv({3: 5, 4: 15, 5: 20, 6: 15, 7: 6})), (6, 12, 0, bv({4: 2047}))],
+)
+def test_counted_faces_out_of_listing_reach_agree_with_the_formula(r, n, k, betti):
+    # T has 4.2 * 10^8 simplices over U5,6 x S1 and 6.2 * 10^6 over U6,12 x S0
+    im = immersed(uniform(r, n))
+    counts = build_representation(im, sphere(k)).T.face_counts()
+    assert expected_betti(im, sphere(k)) == betti
+    assert reduced_euler(counts) == sum((-1) ** d * b for d, b in betti.items())
 
 
 def test_formula_agreement_all_instances():
@@ -965,6 +1021,26 @@ def test_xarrangement_report_minimal_rho():
     ex = ImmersedMatroid(five_point_matroid(), five_point_immersion())
     report_ex = verify_xarrangement(build_representation(ex, s0), s0)
     assert report_ex.all_pass
+
+
+def test_xarrangement_builds_no_order_complex(monkeypatch):
+    """verify_xarrangement reads the dimensions of Y and of the up-set
+    complexes off their face counts, so it builds no order complex and
+    reports what it reports when it may."""
+    instances = [(im, x) for _, im, x in representation_instances()]
+    instances.append((immersed(uniform(4, 5), rho=4), sphere(0)))
+
+    def reports():
+        return [verify_xarrangement(build_representation(im, x), x) for im, x in instances]
+
+    allowed = reports()
+    assert all(report.all_pass for report in allowed)
+
+    def refuse(*args):
+        pytest.fail("built an order complex")
+
+    monkeypatch.setattr(diagrams, "order_complex", refuse)
+    assert [vars(report) for report in reports()] == [vars(report) for report in allowed]
 
 
 def test_xarrangement_above_minimal_rho():
