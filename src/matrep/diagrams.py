@@ -12,9 +12,11 @@ mapping-cylinder construction.
 A poset given by outside pairs is sorted by ``label_key`` and closed once.
 A Grothendieck poset is handed over already sorted, as its cover relation,
 and builds its up-sets only if asked.  Order complexes are enumerated
-along covers, and the part of a hocolim over an up-set of the diagram
-poset is the order complex of the matching up-set of the Grothendieck
-poset, so no chain is cut or tested for maximality.
+along covers, so no chain is cut or tested for maximality.  The part of a
+hocolim over an up-set of the diagram poset is the hocolim of the diagram
+over that up-set, whose Grothendieck poset is the matching up-set of the
+whole one; every hocolim complex builds its poset the same way, from its
+own spaces and covers.
 
 The order complex subdivides the prodsimplicial model of the hocolim, a
 complex of cells (chain of elements, simplex of the space at its top),
@@ -266,21 +268,23 @@ class HocolimComplex(SimplicialComplex):
     """The order complex of a diagram's Grothendieck poset, built only as
     far as it is read.
 
-    Its vertices are the poset's elements, so reading them builds the poset
-    and no facet; the facets are enumerated along the poset's covers on
-    first read.  Its cells, the diagram's prodsimplicial model, are built
-    from the spaces and covers alone.  A homology map into or out of the
-    complex keeps them, with their tracked reduction.
+    It keeps the diagram's spaces, in the order of its poset's elements,
+    and its covers.  Its vertices are the elements of
+    ``grothendieck_poset`` of the diagram they make, so reading them builds
+    that poset and no facet; the facets are enumerated along the poset's
+    covers on first read.  Its cells, the diagram's prodsimplicial model,
+    are built from the spaces and covers alone.  A homology map into or out
+    of the complex keeps them, with their tracked reduction.
     """
 
-    def __init__(self, grothendieck, space_at, covers):
-        self._grothendieck = grothendieck  # computes the poset when called
-        self._space_at = space_at
+    def __init__(self, space_at, covers):
+        self._space_at = space_at  # in the order of the diagram poset's elements
         self._covers = covers
 
     @functools.cached_property
     def poset(self) -> FinitePoset:
-        return self._grothendieck()
+        poset = FinitePoset._from_covers(self._space_at, self._covers)
+        return grothendieck_poset(InclusionDiagram._known(poset, self._space_at))
 
     @functools.cached_property
     def _order(self) -> tuple:
@@ -331,8 +335,8 @@ class HocolimComplex(SimplicialComplex):
 
 class Hocolim:
     """The hocolim of a diagram: the order complex of its Grothendieck
-    poset, a ``HocolimComplex`` that holds the poset.  Each vertex is a
-    pair (p, simplex of D(p)), so its diagram element is its first entry.
+    poset, a ``HocolimComplex``.  Each vertex is a pair (p, simplex of
+    D(p)), so its diagram element is its first entry.
 
     The complex keeps the diagram's spaces and covers, not the diagram,
     which keeps the hocolim, and so does each complex read off it over an
@@ -340,28 +344,22 @@ class Hocolim:
     """
 
     def __init__(self, diagram: InclusionDiagram):
-        poset, space_at = diagram.poset, diagram.space_at
-        self.complex = HocolimComplex(
-            lambda: grothendieck_poset(InclusionDiagram._known(poset, space_at)), space_at, poset.covers()
-        )
+        poset = diagram.poset
+        self.complex = HocolimComplex({p: diagram.space(p) for p in poset.elements}, poset.covers())
 
     def over_upset(self, keep) -> HocolimComplex:
         """The full subcomplex on the vertices (p, s) with ``keep(p)``,
         where the elements p that ``keep`` selects form an up-set.
 
         A full subcomplex of an order complex is the order complex of the
-        induced subposet, and an up-set keeps the covers of its poset, so
-        its poset is cut from the whole one with no chain cut or filtered.
-        Its cells are those of the diagram over the up-set.
+        induced subposet, and the Grothendieck poset of the diagram over an
+        up-set is that subposet: an up-set keeps the covers of its poset.
+        So it is the hocolim of the diagram over the up-set, whose spaces
+        and covers are cut here and nothing else.
         """
         whole = self.complex
-
-        def upset() -> FinitePoset:
-            elements = [v for v in whole.poset.elements if keep(v[0])]
-            return FinitePoset._from_covers(elements, [c for c in whole.poset.covers() if keep(c[0][0])])
-
         space_at = {p: space for p, space in whole._space_at.items() if keep(p)}
-        return HocolimComplex(upset, space_at, whole._covers)
+        return HocolimComplex(space_at, [(p, q) for p, q in whole._covers if p in space_at and q in space_at])
 
 
 def _live_upsets(space_at, covers):
@@ -553,14 +551,14 @@ class HocolimMap:
     at each element p, a vertex map f_p of D(p), the f_p agreeing wherever
     the spaces are included.
 
-    A vertex (p, s) goes to (g(p), f_p(s)); the vertex map is listed on
-    first read.  A prodsimplicial cell (c, t) goes to +-(g(c), f(t)), f the
-    component at the top of the chain c, or to 0 when g repeats an element
-    of c or f is not injective on t; the sign is that of sorting f(t)'s
-    vertex numbers.  This is the cross product of the normalized chain
-    maps of g on the simplex of the chain and of f on t (Hatcher,
-    "Algebraic Topology", 2002, 3.B), so the homology map reads the cells
-    of both ends and neither end's poset or facets.
+    A vertex (p, s) goes to (g(p), f_p(s)), and a prodsimplicial cell
+    (c, t) to +-(g(c), f(t)), f the component at the top of the chain c,
+    or to 0 when g repeats an element of c or f is not injective on t; the
+    sign is that of sorting f(t)'s vertex numbers.  This is the cross
+    product of the normalized chain maps of g on the simplex of the chain
+    and of f on t (Hatcher, "Algebraic Topology", 2002, 3.B), so the
+    homology map reads the cells of both ends and neither end's poset or
+    facets.
     """
 
     def __init__(self, source: HocolimComplex, target: HocolimComplex, poset_map, components):
@@ -568,14 +566,6 @@ class HocolimMap:
         self.target = target
         self.poset_map = poset_map
         self.components = components
-
-    @functools.cached_property
-    def vertex_map(self) -> dict:
-        g, f = self.poset_map, self.components
-        return {(p, s): (g[p], frozenset(map(f[p], s))) for p, s in self.source.vertices}
-
-    def __call__(self, v):
-        return self.vertex_map[v]
 
     def _chain_map(self):
         """The map on cells, in the form ``complexes.HomologyMap`` takes."""

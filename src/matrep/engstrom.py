@@ -2,10 +2,13 @@
 
 The pipeline: a rank- and order-reversing immersion of the lattice of flats
 into a boolean lattice turns each flat into a join of copies of a template
-complex X; the homotopy colimit over the lattice (minus the bottom) is the
-representation T, covered by one subcomplex per atom.  Every subcomplex of
-T over an up-set of flats is read off the hocolim, as the order complex of
-the matching up-set of its Grothendieck poset.  Reduced Betti numbers of T
+complex X; the homotopy colimit over the lattice minus its bottom is the
+representation T, covered by one subcomplex per atom.  One diagram is built
+per representation, over the whole lattice, and its hocolim is Y; T and
+every subcomplex of T over an up-set of flats are read off it, as the
+hocolims of the diagram over those up-sets.  The arrangement,
+x-arrangement and equivariance checks read the flats and the diagram's
+spaces, not T or Y.  Reduced Betti numbers of T
 are a weighted count of suspensions of join powers of X, with Whitney
 numbers of the first kind as weights; the formula side gets them by Betti
 arithmetic from those of X (the Kunneth formula for joins), building no
@@ -149,49 +152,43 @@ def _inadmissible_flat(l: Immersion, l_prime: Immersion, g: FlatMap):
 
 def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram:
     """The lattice-of-flats diagram whose space at p joins the copies of x
-    selected by the immersion value at p."""
-    lat = im.matroid.lattice()
-    return _diagram(im, x, lat.flats, lat.covers())
+    selected by the immersion value at p.
 
-
-def _diagram(im: ImmersedMatroid, x: SimplicialComplex, flats, covers) -> InclusionDiagram:
-    """The diagram of ``build_diagram`` over ``flats``, ordered by ``covers``,
-    which must be exactly their cover relation: in a graded lattice, or an
-    up-set of one, the pairs one rank apart are the covers, so the poset
-    takes them as they are.
-
-    Its inclusions are not checked: for a cover p < q the validated
-    immersion has l(q) contained in l(p), and a join of copies of a
-    nonempty x over fewer indices is a subcomplex of the join over more,
-    each of its facets lying in a facet of the larger join.
+    Its poset takes the lattice's covers as they are, and its inclusions
+    are not checked: for a cover p < q the validated immersion has l(q)
+    contained in l(p), and a join of copies of a nonempty x over fewer
+    indices is a subcomplex of the join over more, each of its facets lying
+    in a facet of the larger join.
     """
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
+    lat = im.matroid.lattice()
+    flats = sort_labels(lat.flats)
     spaces = {f: copies_complex(x, im.immersion(f)) for f in flats}
-    return InclusionDiagram._known(FinitePoset._from_covers(sort_labels(flats), covers), spaces)
+    return InclusionDiagram._known(FinitePoset._from_covers(flats, lat.covers()), spaces)
 
 
 class Representation:
     """T as the hocolim over the lattice minus its bottom.
 
-    Each vertex of T is a Grothendieck element (flat, simplex), so its flat
-    is its first entry.  The subcomplexes of T over up-sets of flats, the
-    atom subcomplexes among them, are built from the hocolim once per flat
-    when first read, and so is Y, the hocolim over the whole lattice.  All
-    of them are hocolims, built only as far as they are read, so their
-    Betti numbers come from their prodsimplicial cells and list no facet
-    (``diagrams``).
+    ``hocolim`` is that of the diagram over the whole lattice
+    (``build_diagram``), so its complex is Y.  T is the part of it over the
+    flats other than the bottom, and the subcomplexes of T over up-sets of
+    flats, the atom subcomplexes among them, are the parts over those
+    up-sets, read off once per flat when first read
+    (``Hocolim.over_upset``).  Each vertex is a Grothendieck element (flat,
+    simplex), so its flat is its first entry.  All of them are hocolims,
+    built only as far as they are read, so their Betti numbers come from
+    their prodsimplicial cells and list no facet (``diagrams``).
     """
 
     def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex, hocolim: Hocolim):
         self.immersed = immersed
         self.template = template
         self.hocolim = hocolim
-        self._upsets = {}
-
-    @property
-    def T(self) -> SimplicialComplex:
-        return self.hocolim.complex
+        bottom = self.lattice.bottom
+        self.T = hocolim.over_upset(lambda p: p != bottom)
+        self._upsets = {bottom: self.T}
 
     @property
     def lattice(self):
@@ -202,11 +199,11 @@ class Representation:
         """Atom flat -> the subcomplex of T over the atom's up-set."""
         return {a: self.upset_complex(a) for a in self.lattice.atoms}
 
-    @functools.cached_property
+    @property
     def Y(self) -> SimplicialComplex:
         """Hocolim over the whole lattice; T is its full subcomplex on the
         vertices over the flats other than the bottom."""
-        return hocolim(build_diagram(self.immersed, self.template)).complex
+        return self.hocolim.complex
 
     def upset_complex(self, flat) -> SimplicialComplex:
         """Subcomplex of T over the flats containing ``flat``, built once per
@@ -219,16 +216,9 @@ class Representation:
 
 
 def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
-    """T, the hocolim over the lattice minus its bottom; its covering
-    subcomplexes are built from it when first read.
-
-    The flats other than the bottom form an up-set, so the lattice's
-    covers other than those of the bottom are exactly its covers.
-    """
-    lat = im.matroid.lattice()
-    flats = [f for f in lat.flats if f != lat.bottom]
-    covers = [(p, q) for p, q in lat.covers() if p != lat.bottom]
-    return Representation(im, x, hocolim(_diagram(im, x, flats, covers)))
+    """T and Y from the one diagram of the whole lattice: Y is its hocolim,
+    and T and T's covering subcomplexes are read off it."""
+    return Representation(im, x, hocolim(build_diagram(im, x)))
 
 
 def _layer_betti(b: BettiVector, e: int, k: int) -> BettiVector:
@@ -272,20 +262,22 @@ def _closed_atom_sets(rep: Representation) -> set:
     intersection of the chosen ones.  The empty set is always closed: its
     intersection is all of Y, whose vertices over the bottom flat lie in
     no atom subcomplex.  The atom subcomplex of a is the full subcomplex
-    of T on the vertices over flats containing a, so only those vertex
-    sets are read and no subcomplex is built.
+    of T on the vertices over flats containing a, and the vertices of T
+    over a flat p are the nonempty simplices of D(p).  So vertex sets
+    contain each other as the sets of live flats under them do, the flats
+    of T whose space is not empty, and only those are read: no subcomplex,
+    poset or vertex is built.
     """
     atoms = rep.lattice.atoms
-    t_vertices = rep.T.vertices
-    vertex_sets = {a: frozenset(v for v in t_vertices if a <= v[0]) for a in atoms}
+    live = frozenset(p for p, space in rep.T._space_at.items() if not space.is_empty)
+    flat_sets = {a: frozenset(p for p in live if a <= p) for a in atoms}
     closed = {frozenset()}
     for k in range(1, len(atoms) + 1):
         for combo in itertools.combinations(atoms, k):
-            meet = t_vertices
+            meet = live
             for a in combo:
-                meet = meet & vertex_sets[a]
-            closure = frozenset(b for b in atoms if meet <= vertex_sets[b])
-            closed.add(closure)
+                meet = meet & flat_sets[a]
+            closed.add(frozenset(b for b in atoms if meet <= flat_sets[b]))
     return closed
 
 
@@ -518,28 +510,38 @@ def _check_simplicial_and_free(komplex: SimplicialComplex, perm):
 def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     """The action on x extends copywise to both representations; it must
     stay simplicial and free there, and the induced map must commute with
-    it on vertices.  It builds two hocolims, Y over the whole lattice for
-    each side, and checks simpliciality and freeness on Y, of which T and
-    every atom intersection are full subcomplexes, by the routine
-    ``GroupAction`` uses.  The induced map is written on T read off Y."""
+    it.  Both are decided on the spaces of the two diagrams, and no
+    Grothendieck poset or order complex is built.
+
+    The lift of a permutation to Y fixes every flat: it sends (p, s) to
+    (p, the copywise image of s).  So a simplex (p0, s0) < ... < (pk, sk)
+    of Y goes to a simplex exactly when each image of s_i lies in D(p_i);
+    and it is fixed setwise exactly when each s_i is, since a permutation
+    of a chain that keeps its order fixes every element.  The lift is thus
+    simplicial and free on Y, and on T and every atom intersection, its
+    full subcomplexes, exactly when the copywise lift is on every space
+    D(p) of both diagrams, the bottom's included, checked by the routine
+    ``GroupAction`` uses.  The induced map sends (p, s) to (g(p), f_p(s)),
+    so it commutes with the lifts on the vertices of T exactly when each
+    component f_p does on the vertices of D(p).  The map is still written
+    on the two T's, so an inadmissible weak map is refused.
+    """
     if action.complex != x:
         raise ValueError("action must act on the template complex")
-    ys, ts = [], []
-    for im in (im_m, im_n):
-        y = hocolim(build_diagram(im, x))
-        bottom = im.matroid.lattice().bottom
-        ys.append(y.complex)
-        ts.append(y.over_upset(lambda p: p != bottom))
-    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, *ts, SimplicialMap.identity(x))
+    diagrams = [build_diagram(im, x) for im in (im_m, im_n)]
+    source, target = (Representation(im, x, hocolim(d)).T for im, d in zip((im_m, im_n), diagrams))
+    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, source, target, SimplicialMap.identity(x))
     for perm in action.nonidentity_elements():
-        lifts = []
-        for y in ys:
-            lift = {(p, s): (p, frozenset((i, perm[v]) for i, v in s)) for p, s in y.vertices}
-            _check_simplicial_and_free(y, lift)
-            lifts.append(lift)
-        lift_m, lift_n = lifts
-        if any(rmap(lift_m[v]) != lift_n[rmap(v)] for v in rmap.source.vertices):
-            return False
+
+        def lift(vertex):
+            return vertex[0], perm[vertex[1]]
+
+        for diagram in diagrams:
+            for space in diagram.space_at.values():
+                _check_simplicial_and_free(space, {v: lift(v) for v in space.vertices})
+        for p, f_p in rmap.components.items():
+            if any(f_p(lift(v)) != lift(f_p(v)) for v in diagrams[0].space(p).vertices):
+                return False
     return True
 
 
@@ -588,22 +590,16 @@ def verify_xarrangement(rep: Representation, x: SimplicialComplex) -> XArrangeme
         atom_ok[a] = (
             reduced_betti(sub) == power_betti[rho - 1] and sub.dim == power_dim[rho - 1]
         )
-    inter_ok = {}
-    upsets = {}
+    inter_ok, drops_ok = {}, {}
     for f in lat.flats:
         if f == lat.bottom:
             continue
         sub = rep.upset_complex(f)
-        upsets[f] = sub
         e = rho - lat.rank_of[f]
         inter_ok[f] = reduced_betti(sub) == power_betti[e] and sub.dim == power_dim[e]
-    drops_ok = {}
-    for f, sub in upsets.items():
-        e = rho - lat.rank_of[f]
+        # the atom subcomplex of a contains sub exactly when a is in f: below
+        # the top, D(f) is not empty, so sub has vertices over f
         for a in lat.atoms:
-            a_vertices = rep.atom_subcomplexes[a].vertices
-            if sub.vertices <= a_vertices:
-                continue  # the atom subcomplex contains this intersection
-            cut = rep.upset_complex(lat.join(f, a))
-            drops_ok[(f, a)] = reduced_betti(cut) == power_betti[e - 1]
+            if not a <= f:
+                drops_ok[(f, a)] = reduced_betti(rep.upset_complex(lat.join(f, a))) == power_betti[e - 1]
     return XArrangementReport(rho, total_ok, atom_ok, inter_ok, drops_ok)

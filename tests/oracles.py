@@ -14,7 +14,9 @@ simplex orders and exports by sorting every simplex through ``label_key``,
 suspended join powers as built complexes rather than by Betti arithmetic,
 matroids of GF(p) matrices by ranking every set of columns, induced
 representation maps as simplicial maps of order complexes, checked on
-every facet, ranks of homology matrices by plain rational elimination,
+every facet, vertex maps of hocolim maps listed vertex by vertex,
+equivariance on the order complex Y rather than on the diagram's spaces,
+ranks of homology matrices by plain rational elimination,
 free simplicial actions by testing every simplex, the arrangement of atom subcomplexes
 through the built subcomplexes and every pair of closed sets, the
 geometric lattice axioms with joins as least upper bounds among the flats,
@@ -369,6 +371,37 @@ def induced_map_by_morphism(tau, im_m, im_n, x, y, f_x):
     source, target = hocolim(d_m).complex, hocolim(d_n).complex
     vertex_map = {(p, s): (poset_map[p], frozenset(map(components[p], s))) for p, s in source.vertices}
     return SimplicialMap(source, target, vertex_map)
+
+
+def hocolim_vertex_map(hmap) -> dict:
+    """The vertex map (p, s) -> (g(p), f_p(s)) of a ``HocolimMap``, listed
+    on every vertex of its source, which builds the source's poset."""
+    g, f = hmap.poset_map, hmap.components
+    return {(p, s): (g[p], frozenset(map(f[p], s))) for p, s in hmap.source.vertices}
+
+
+def check_equivariance_on_y(action, tau, im_m, im_n, x) -> bool:
+    """``check_equivariance`` on the order complexes: the copywise lift of
+    each non-identity element to Y of each side, listed on Y's vertices and
+    checked simplicial and free on Y's facets, and the induced map checked
+    to commute with the lifts on every vertex of T."""
+    from matrep.engstrom import _check_simplicial_and_free, _representation_map, build_representation
+
+    if action.complex != x:
+        raise ValueError("action must act on the template complex")
+    reps = [build_representation(im, x) for im in (im_m, im_n)]
+    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, reps[0].T, reps[1].T, SimplicialMap.identity(x))
+    vertex_map = hocolim_vertex_map(rmap)
+    for perm in action.nonidentity_elements():
+        lifts = []
+        for rep in reps:
+            lift = {(p, s): (p, frozenset((i, perm[v]) for i, v in s)) for p, s in rep.Y.vertices}
+            _check_simplicial_and_free(rep.Y, lift)
+            lifts.append(lift)
+        lift_m, lift_n = lifts
+        if any(vertex_map[lift_m[v]] != lift_n[vertex_map[v]] for v in rmap.source.vertices):
+            return False
+    return True
 
 
 def check_simplicial_and_free_by_simplices(komplex, perm):

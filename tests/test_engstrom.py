@@ -61,9 +61,11 @@ from matrep.matroid import SetMap, classify_map, induced_flat_map, uniform
 from oracles import (
     arrangement_matches_lattice_by_definition,
     chain_counts,
+    check_equivariance_on_y,
     check_simplicial_and_free_by_simplices,
     closed_atom_sets_by_subcomplexes,
     full_subcomplex,
+    hocolim_vertex_map,
     induced_map_by_morphism,
     matroid_of_columns,
     rational_rank,
@@ -401,6 +403,17 @@ def test_betti_numbers_and_homology_maps_build_no_poset_or_facet(refuse_to_build
     d_m, d_l = build_diagram(immersed(m), s0), build_diagram(immersed(l), s0)
     morphism = flat_map_morphism(d_m, d_l, induced_flat_map(identity_map(m, l)))
     assert homology_map(diagrams.induced_map(morphism)).is_surjective()
+
+
+def test_refuse_to_build_t_sees_every_poset_build(refuse_to_build_t):
+    """The no-T tests hold only if every poset build goes through
+    ``diagrams.grothendieck_poset``: reading T's vertices, an up-set
+    complex's vertices or Y's facets each trips the fixture."""
+    rep = build_representation(immersed(uniform(3, 4)), sphere(0))
+    atom = rep.lattice.atoms[0]
+    for read in (lambda: rep.T.vertices, lambda: rep.upset_complex(atom).vertices, lambda: rep.Y.facets):
+        with pytest.raises(pytest.fail.Exception):
+            read()
 
 
 def test_pipeline_leaves_no_cycles_to_the_collector():
@@ -745,7 +758,7 @@ def test_reroute_stays_order_preserving_with_loops():
 def test_induced_map_identity_is_identity():
     m = uniform(2, 3)
     rmap = induced_representation_map(identity_map(m, m), immersed(m), immersed(m), sphere(0))
-    assert all(rmap.vertex_map[v] == v for v in rmap.source.vertices)
+    assert all(hocolim_vertex_map(rmap)[v] == v for v in rmap.source.vertices)
 
 
 def test_induced_map_surjective_on_homology():
@@ -765,7 +778,7 @@ def test_induced_map_with_annihilating_tau_lands_in_target():
     tau = SetMap(m, m, {1: 1, 2: 2, 3: "o"})
     rmap = induced_representation_map(tau, immersed(m), immersed(m), sphere(0))
     rep = build_representation(immersed(m), sphere(0))
-    assert set(rmap.vertex_map.values()) <= set(rep.T.vertices)
+    assert set(hocolim_vertex_map(rmap).values()) <= set(rep.T.vertices)
 
 
 def test_induced_map_rejects_inadmissible():
@@ -864,7 +877,8 @@ def _outcome(route, *args):
         return type(refusal)
     hm = homology_map(rmap)
     ranks = {k: rational_rank(matrix) for k, matrix in hm.matrices.items()}
-    return rmap.vertex_map, hm.source_betti, hm.target_betti, ranks, hm.is_surjective()
+    vertex_map = rmap.vertex_map if isinstance(rmap, SimplicialMap) else hocolim_vertex_map(rmap)
+    return vertex_map, hm.source_betti, hm.target_betti, ranks, hm.is_surjective()
 
 
 def rerouted_past_the_immersion():
@@ -996,12 +1010,113 @@ def test_facet_and_cycle_checks_agree_with_every_simplex(facets, data):
     assert outcomes[0] == outcomes[1]
 
 
-def test_equivariance_builds_one_hocolim_per_side(count_calls):
-    built = count_calls(diagrams, "grothendieck_poset")
+def test_equivariance_builds_one_hocolim_per_side(count_calls, refuse_to_build_t):
+    """One diagram and one hocolim per side, and the check reads their
+    spaces: no Grothendieck poset or order complex is built."""
+    built = count_calls(diagrams, "hocolim")
     m, n, _ = rank3_chain()
     s0 = sphere(0)
     assert check_equivariance(swap_action_on_s0(), identity_map(m, n), immersed(m), immersed(n), s0)
-    assert len(built) == 2
+    assert len(built) == len({id(d) for d in built}) == 2
+
+
+def tampered(action, extra):
+    """``action`` with the vertex permutation ``extra`` among its
+    non-identity elements, unchecked, as a faulty caller could hand it
+    over."""
+    elements = action.nonidentity_elements() + [extra]
+    action.nonidentity_elements = lambda: elements
+    return action
+
+
+def equivariance_outcome(check, *args):
+    """What an equivariance check returns, or the type of its refusal."""
+    try:
+        return check(*args)
+    except (NotSimplicial, NotFree, NotAdmissible, NoAtomInImage) as refusal:
+        return type(refusal)
+
+
+def test_equivariance_agrees_with_y_route_on_the_catalog():
+    """The check on the diagrams' spaces and the one on the order complexes
+    Y return the same on the catalog chain, and refuse alike an action
+    whose identity is listed as a non-identity element, a permutation of a
+    path that is not simplicial, and an inadmissible weak map."""
+    s0, path = sphere(0), SimplicialComplex([(0, 1), (1, 2)])
+    m, n, l = rank3_chain()
+    u = uniform(2, 3)
+    rotated = Immersion.from_dict(
+        u, 2, {f: frozenset(3 - i for i in s) for f, s in canonical_immersion(u, 2).as_dict().items()}
+    )
+    cases = [
+        (swap_action_on_s0, identity_map(a, b), immersed(a), immersed(b), s0)
+        for a, b in [(m, m), (m, n), (n, l), (m, l)]
+    ]
+    m_to_n = (identity_map(m, n), immersed(m), immersed(n))
+    cases += [
+        (lambda: tampered(swap_action_on_s0(), {0: 0, 1: 1}), *m_to_n, s0),
+        (lambda: tampered(GroupAction(path, []), {0: 1, 1: 0, 2: 2}), *m_to_n, path),
+        (swap_action_on_s0, identity_map(u, u), immersed(u), ImmersedMatroid(u, rotated), s0),
+    ]
+    outcomes = []
+    for action, *args in cases:
+        outcomes.append(equivariance_outcome(check_equivariance, action(), *args))
+        assert outcomes[-1] == equivariance_outcome(check_equivariance_on_y, action(), *args)
+    assert outcomes == [True] * 4 + [NotFree, NotSimplicial, NotAdmissible]
+
+
+@st.composite
+def identity_weak_maps(draw):
+    """The identity M -> N of column matroids over GF(2) or GF(3), N's
+    columns M's with the last coordinate dropped, so every dependence of
+    M holds in N; immersions of both at one rho, canonical or reversed."""
+    p = draw(st.sampled_from([2, 3]))
+    entry = st.integers(0, p - 1)
+    columns = draw(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=4))
+    m = matroid_of_columns(columns, p)
+    n = matroid_of_columns([c[:2] for c in columns], p)
+    rho = m.rank_total + draw(st.integers(0, 1))
+    l, l_prime = canonical_immersion(m, rho), canonical_immersion(n, rho)
+    if draw(st.booleans()):
+        l = reversed_immersion(l)
+    if draw(st.booleans()):
+        l_prime = reversed_immersion(l_prime)
+    return identity_map(m, n), ImmersedMatroid(m, l), ImmersedMatroid(n, l_prime)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=identity_weak_maps())
+def test_equivariance_agrees_with_y_route_on_random_weak_maps(instance):
+    tau, im_m, im_n = instance
+    s0 = sphere(0)
+    assert classify_map(tau).is_weak
+    assert equivariance_outcome(check_equivariance, swap_action_on_s0(), tau, im_m, im_n, s0) == (
+        equivariance_outcome(check_equivariance_on_y, swap_action_on_s0(), tau, im_m, im_n, s0)
+    )
+
+
+def test_checks_read_the_diagram_not_t(request):
+    """The equivariance, arrangement and x-arrangement checks return the
+    same with the building of Grothendieck posets and order complexes
+    refused as without."""
+    s0 = sphere(0)
+    m, n, l = rank3_chain()
+    instances = [(im, x) for _, im, x in representation_instances()]
+    instances.append((immersed(uniform(4, 5), rho=4), s0))
+
+    def run():
+        out = [
+            check_equivariance(swap_action_on_s0(), identity_map(a, b), immersed(a), immersed(b), s0)
+            for a, b in [(m, m), (m, n), (n, l), (m, l)]
+        ]
+        for im, x in instances:
+            out.append(arrangement_matches_lattice(build_representation(im, x)))
+            out.append(vars(verify_xarrangement(build_representation(im, x), x)))
+        return out
+
+    expected = run()
+    request.getfixturevalue("refuse_to_build_t")
+    assert run() == expected
 
 
 def test_equivariance_catalog():
