@@ -24,7 +24,10 @@ which has the same homotopy type and far fewer cells.  Every hocolim
 complex carries that model as its cells, built from the diagram's spaces
 and covers alone, and its Betti numbers are read there
 (``complexes.reduced_betti``).  A hocolim complex builds its Grothendieck
-poset, and then its facets, only when they are read.
+poset, and then its facets, only when they are read.  Its export reads
+the spaces and covers instead, numbering the Grothendieck elements and
+walking the cover paths on the numbers, so it builds neither; flats that
+share one space object share its listing and names.
 
 Its faces are counted from the diagram too, so face counts, ``dim`` and
 ``is_empty`` build nothing.  Each simplex (p0, s0) < ... < (pj, sj) of the
@@ -42,10 +45,11 @@ poset or facets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .complexes import SimplicialComplex, _sorted_with_sign, _tracked
-from .labels import sort_labels
+from .labels import label_formatter, sort_labels
 
 
 class DiagramError(ValueError):
@@ -156,30 +160,41 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
     Its facets are the maximal chains, and a chain is maximal exactly when
     it climbs by cover relations from a minimal element to a maximal one
     (Bjorner, "Topological methods", 1995), so the facets are enumerated as
-    cover paths and no chain is tested for maximality.  The complex takes
-    them as they are, and the poset's sorted elements as its vertex order.
+    cover paths (``_cover_paths``) and no chain is tested for maximality.
+    The complex takes them as they are, and the poset's sorted elements as
+    its vertex order.
     """
-    upper = {x: [] for x in poset.elements}
-    minimal = set(poset.elements)
-    for a, b in poset.covers():
+    elements = poset.elements
+    number = {x: i for i, x in enumerate(elements)}
+    covers = [(number[a], number[b]) for a, b in poset.covers()]
+    facets = [frozenset(map(elements.__getitem__, path)) for path in _cover_paths(len(elements), covers)]
+    return SimplicialComplex._known(facets, elements)
+
+
+def _cover_paths(n, covers):
+    """The maximal chains of the poset on 0, ..., n - 1 whose cover
+    relation is the pairs of numbers ``covers``: the paths that climb by
+    covers from an element with no lower cover to one with no upper cover,
+    each as a tuple of numbers."""
+    upper = [[] for _ in range(n)]
+    minimal = [True] * n
+    for a, b in covers:
         upper[a].append(b)
-        minimal.discard(b)
-    facets = []
+        minimal[b] = False
     # depth first, with the upper covers still to try at each step of the
-    # chain; labels are never None
-    chain, untried = [], [iter(minimal)]
+    # path
+    path, untried = [], [itertools.compress(range(n), minimal)]
     while untried:
-        y = next(untried[-1], None)
-        if y is None:
+        i = next(untried[-1], None)
+        if i is None:
             untried.pop()
-            if chain:
-                chain.pop()
-        elif upper[y]:
-            chain.append(y)
-            untried.append(iter(upper[y]))
+            if path:
+                path.pop()
+        elif upper[i]:
+            path.append(i)
+            untried.append(iter(upper[i]))
         else:
-            facets.append(frozenset(chain + [y]))
-    return SimplicialComplex._known(facets, poset.elements)
+            yield (*path, i)
 
 
 class InclusionDiagram:
@@ -243,25 +258,56 @@ def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
     are exactly its covers: a chain of other such pairs from (p, s) to
     (p, s + v) or to (q, s) would have to pass strictly between p and q or
     between s and s + v.  So the poset is handed over as its covers, with
-    the pairs already in ``label_key`` order: elements p in the diagram
-    poset's order, and the simplices of D(p) as sorted tuples of D(p)'s
-    vertex ranks, in lexicographic order.
+    the pairs already in ``label_key`` order (``_grothendieck_numbers``).
     """
-    elements, covers = [], []
-    pair_of = {}  # p -> simplex of D(p) -> the pair (p, simplex)
-    for p in diagram.poset.elements:
-        space = diagram.space(p)
-        order = space._vertex_order()
-        ranked = sorted(s for ss in space._ranked().values() for s in ss if s)
-        by_rank = {s: (p, frozenset(map(order.__getitem__, s))) for s in ranked}
-        elements.extend(by_rank.values())
-        for s, pair in by_rank.items():
-            if len(s) > 1:
-                covers.extend((by_rank[s[:i] + s[i + 1 :]], pair) for i in range(len(s)))
-        pair_of[p] = {pair[1]: pair for pair in by_rank.values()}
-    for p, q in diagram.poset.covers():
-        covers.extend((pair_of[p][t], pair) for t, pair in pair_of[q].items())
-    return FinitePoset._from_covers(elements, covers)
+    poset = diagram.poset
+    runs, covers = _grothendieck_numbers({p: diagram.space(p) for p in poset.elements}, poset.covers())
+    faces = {}  # id(space) -> its simplices as vertex sets
+    elements = []
+    for p, space, simplices in runs:
+        if id(space) not in faces:
+            order = space._vertex_order()
+            faces[id(space)] = [frozenset(map(order.__getitem__, s)) for s in simplices]
+        elements.extend((p, s) for s in faces[id(space)])
+    return FinitePoset._from_covers(elements, [(elements[a], elements[b]) for a, b in covers])
+
+
+def _grothendieck_numbers(space_at, covers):
+    """The Grothendieck poset of the inclusion diagram with spaces
+    ``space_at``, in the order of its poset's elements, and covers
+    ``covers``, by number.
+
+    Its elements (p, s) are numbered in ``label_key`` order: elements p in
+    the diagram poset's order, and the nonempty simplices s of D(p) as
+    sorted tuples of D(p)'s vertex ranks, in lexicographic order.  Returns
+    the runs (p, D(p), those tuples), one list of tuples per distinct
+    space, and the covers of ``grothendieck_poset`` as pairs of numbers.
+    A distinct space is listed once, and the covers between two distinct
+    spaces are matched once, however many elements share them.
+    """
+    listed = {}  # id(space) -> (its nonempty simplices, their numbers, covers among them)
+    runs, first, numbered, count = [], {}, [], 0
+    for p, space in space_at.items():
+        if id(space) not in listed:
+            simplices = sorted(s for ss in space._ranked().values() for s in ss if s)
+            index = {s: j for j, s in enumerate(simplices)}
+            inside = [(index[s[:i] + s[i + 1 :]], j) for j, s in enumerate(simplices) if len(s) > 1 for i in range(len(s))]
+            listed[id(space)] = simplices, index, inside
+        simplices, _, inside = listed[id(space)]
+        runs.append((p, space, simplices))
+        numbered.extend((count + a, count + b) for a, b in inside)
+        first[p] = count
+        count += len(simplices)
+    matched = {}  # (id(D(p)), id(D(q))) -> the number in D(p) of each simplex of D(q)
+    for p, q in covers:
+        lower, upper = space_at[p], space_at[q]
+        key = id(lower), id(upper)
+        if key not in matched:
+            shift = [lower._rank_of[v] for v in upper._vertex_order()]
+            index = listed[id(lower)][1]
+            matched[key] = [index[tuple(map(shift.__getitem__, t))] for t in listed[id(upper)][0]]
+        numbered.extend((first[p] + a, first[q] + b) for b, a in enumerate(matched[key]))
+    return runs, numbered
 
 
 class HocolimComplex(SimplicialComplex):
@@ -272,9 +318,10 @@ class HocolimComplex(SimplicialComplex):
     and its covers.  Its vertices are the elements of
     ``grothendieck_poset`` of the diagram they make, so reading them builds
     that poset and no facet; the facets are enumerated along the poset's
-    covers on first read.  Its cells, the diagram's prodsimplicial model,
-    are built from the spaces and covers alone.  A homology map into or out
-    of the complex keeps them, with their tracked reduction.
+    covers on first read.  Its export, its cells (the diagram's
+    prodsimplicial model) and its face counts read the spaces and covers
+    alone.  A homology map into or out of the complex keeps its cells,
+    with their tracked reduction.
     """
 
     def __init__(self, space_at, covers):
@@ -306,6 +353,32 @@ class HocolimComplex(SimplicialComplex):
         """Simplices per dimension, counted from the spaces and covers
         (``_hocolim_face_counts``) with no simplex listed."""
         return dict(self._face_counts)
+
+    def to_doc(self) -> dict:
+        """``SimplicialComplex.to_doc``, read from the spaces and covers by
+        number, with no Grothendieck poset or facet set built.
+
+        A vertex (p, s) is named "(" + name(p) + "," + name(s) + ")", the
+        name of s built once per distinct space from its vertices' names in
+        rank order, and the facets are its cover paths
+        (``_grothendieck_numbers``, ``_cover_paths``).  Each distinct name
+        is ranked once in string order, so sorting each facet, and then
+        the facets, as tuples of ranks is sorting them as lists of names.
+        """
+        runs, covers = _grothendieck_numbers(self._space_at, self._covers)
+        fmt = label_formatter()
+        names, named = [], {}  # id(space) -> its simplices' names
+        for p, space, simplices in runs:
+            if id(space) not in named:
+                vertex = [fmt(v) for v in space._vertex_order()]
+                named[id(space)] = ["{" + ",".join(map(vertex.__getitem__, s)) + "}" for s in simplices]
+            flat = "(" + fmt(p) + ","
+            names.extend(flat + s + ")" for s in named[id(space)])
+        ordered = sorted(set(names))
+        position = {name: r for r, name in enumerate(ordered)}
+        rank = [position[name] for name in names]
+        facets = sorted(tuple(sorted(map(rank.__getitem__, path))) for path in _cover_paths(len(names), covers))
+        return {"vertices": names, "facets": [list(map(ordered.__getitem__, f)) for f in facets]}
 
     @property
     def dim(self) -> int:
@@ -455,13 +528,15 @@ def _prodsimplicial_cells(space_at, covers):
     live, up = _live_upsets(space_at, covers)
     number = {p: i for i, p in enumerate(live)}
     vertex = {}
-    simplices = []
+    listed = {}  # id(space) -> its nonempty simplices by vertex number
     for p in live:
         space = space_at[p]
-        vertex_number = [vertex.setdefault(v, len(vertex)) for v in space._vertex_order()]
-        simplices.append(
-            [tuple(sorted(map(vertex_number.__getitem__, s))) for d, ss in space._ranked().items() if d >= 0 for s in ss]
-        )
+        if id(space) not in listed:
+            vertex_number = [vertex.setdefault(v, len(vertex)) for v in space._vertex_order()]
+            listed[id(space)] = [
+                tuple(sorted(map(vertex_number.__getitem__, s))) for d, ss in space._ranked().items() if d >= 0 for s in ss
+            ]
+    simplices = [listed[id(space_at[p])] for p in live]
     cells = {-1: {(): 0}}
     chains = {}
     for p, above in up.items():  # every element above p comes first

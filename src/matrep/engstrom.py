@@ -159,12 +159,18 @@ def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram
     contained in l(p), and a join of copies of a nonempty x over fewer
     indices is a subcomplex of the join over more, each of its facets lying
     in a facet of the larger join.
+
+    The space depends only on the immersion value, so one complex is built
+    per distinct value and every flat with that value holds the same
+    object; it equals the one built for the flat alone.  Its vertex order
+    and simplex table are then computed once, however many flats read it.
     """
     if x.is_empty:
         raise ValueError("the template complex must be nonempty")
     lat = im.matroid.lattice()
     flats = sort_labels(lat.flats)
-    spaces = {f: copies_complex(x, im.immersion(f)) for f in flats}
+    space_of = functools.cache(lambda value: copies_complex(x, value))
+    spaces = {f: space_of(im.immersion(f)) for f in flats}
     return InclusionDiagram._known(FinitePoset._from_covers(flats, lat.covers()), spaces)
 
 
@@ -520,25 +526,27 @@ def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     of a chain that keeps its order fixes every element.  The lift is thus
     simplicial and free on Y, and on T and every atom intersection, its
     full subcomplexes, exactly when the copywise lift is on every space
-    D(p) of both diagrams, the bottom's included, checked by the routine
-    ``GroupAction`` uses.  The induced map sends (p, s) to (g(p), f_p(s)),
-    so it commutes with the lifts on the vertices of T exactly when each
-    component f_p does on the vertices of D(p).  The map is still written
-    on the two T's, so an inadmissible weak map is refused.
+    D(p) of both diagrams, the bottom's included, checked once per
+    distinct space by the routine ``GroupAction`` uses.  The induced map
+    sends (p, s) to (g(p), f_p(s)), so it commutes with the lifts on the
+    vertices of T exactly when each component f_p does on the vertices of
+    D(p).  The map is still written on the two T's, so an inadmissible
+    weak map is refused.
     """
     if action.complex != x:
         raise ValueError("action must act on the template complex")
     diagrams = [build_diagram(im, x) for im in (im_m, im_n)]
     source, target = (Representation(im, x, hocolim(d)).T for im, d in zip((im_m, im_n), diagrams))
     rmap = _representation_map(tau, im_m.immersion, im_n.immersion, source, target, SimplicialMap.identity(x))
+    # flats with one immersion value share their space (``build_diagram``)
+    distinct = {id(space): space for d in diagrams for space in d.space_at.values()}.values()
     for perm in action.nonidentity_elements():
 
         def lift(vertex):
             return vertex[0], perm[vertex[1]]
 
-        for diagram in diagrams:
-            for space in diagram.space_at.values():
-                _check_simplicial_and_free(space, {v: lift(v) for v in space.vertices})
+        for space in distinct:
+            _check_simplicial_and_free(space, {v: lift(v) for v in space.vertices})
         for p, f_p in rmap.components.items():
             if any(f_p(lift(v)) != lift(f_p(v)) for v in diagrams[0].space(p).vertices):
                 return False

@@ -312,6 +312,17 @@ def test_represent_exports_match_the_benchmark_pins(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"], name
 
 
+def test_represent_export_of_u45_s1_is_pinned(tmp_path, capsys, refuse_to_build_t):
+    """`represent U4,5 S1 --out` writes T's 115,560 facets, read from the
+    diagram with no Grothendieck poset or order complex built, byte for
+    byte as the export listed off T's order complex did."""
+    out = tmp_path / "t.json"
+    code, _ = run_cli(capsys, "represent", "U4,5", "S1", "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2a0d3dd6aade74fb916b74e96961bcf261354bc155402cd11bb78fcabbd1fd25"
+
+
 def test_truncate_command(tmp_path, capsys):
     out = tmp_path / "trunc.json"
     code, report = run_cli(capsys, "truncate", "U3,4", "1", "--out", str(out))

@@ -27,7 +27,7 @@ from matrep.complexes import (
     reduced_betti,
     sphere,
 )
-from matrep.diagrams import Hocolim, hocolim
+from matrep.diagrams import FinitePoset, Hocolim, InclusionDiagram, hocolim
 from matrep.engstrom import (
     GroupAction,
     ImmersedMatroid,
@@ -70,7 +70,9 @@ from oracles import (
     matroid_of_columns,
     rational_rank,
     restrict_diagram,
+    to_doc_by_definition,
 )
+from test_diagrams import random_inclusion_diagrams
 
 
 def bv(counts):
@@ -416,6 +418,20 @@ def test_refuse_to_build_t_sees_every_poset_build(refuse_to_build_t):
             read()
 
 
+def test_export_builds_no_poset_or_facet(monkeypatch, refuse_to_build_t):
+    """T's export reads the diagram's spaces and covers, so it builds no
+    Grothendieck poset or order complex, and equals the export of the same
+    complexes made once building them is allowed again."""
+    rep = build_representation(immersed(uniform(3, 4)), sphere(1))
+    komplexes = [rep.T, rep.upset_complex(rep.lattice.atoms[0])]
+    docs = [komplex.to_doc() for komplex in komplexes]
+    for komplex in komplexes:
+        assert "poset" not in vars(komplex) and "_facets" not in vars(komplex)
+    monkeypatch.undo()
+    for komplex, doc in zip(komplexes, docs):
+        assert doc == SimplicialComplex.to_doc(komplex) == komplex.to_doc()
+
+
 def test_pipeline_leaves_no_cycles_to_the_collector():
     """Building T, its Betti numbers, its export and a homology map leave
     no matrep object in a reference cycle: each is freed by reference
@@ -564,6 +580,43 @@ def test_counted_faces_equal_listed_faces(instance):
     assert rep.T.face_counts() == SimplicialComplex.face_counts(rep.T)
 
 
+def exported_hocolims(instance) -> list:
+    """T, the up-set complex of an atom and, over S^0, Y of a
+    representation; over S^1 Y has some 2 * 10^4 facets, too many for the
+    export oracle."""
+    im, x = instance
+    rep = build_representation(im, x)
+    return [rep.T] + [rep.upset_complex(a) for a in rep.lattice.atoms[:1]] + ([rep.Y] if x.dim == 0 else [])
+
+
+def diagram_hocolims(diagram) -> list:
+    """The hocolim of a diagram and its parts over the up-set of each
+    element."""
+    whole, poset = hocolim(diagram), diagram.poset
+    return [whole.complex] + [whole.over_upset(lambda q, p=p: poset.leq(p, q)) for p in poset.elements]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    komplexes=st.one_of(
+        column_immersions().map(exported_hocolims), random_inclusion_diagrams().map(diagram_hocolims)
+    )
+)
+@example(
+    komplexes=diagram_hocolims(
+        InclusionDiagram(
+            FinitePoset(range(3), [(0, 1), (0, 2)]),
+            {0: sphere(1), 1: SimplicialComplex([(0,)]), 2: SimplicialComplex.empty()},
+        )
+    )
+)
+def test_hocolim_exports_equal_the_export_by_definition(komplexes):
+    """A hocolim complex exports itself from its spaces and covers by
+    number; the export equals the one read off its vertices and facets."""
+    for komplex in komplexes:
+        assert komplex.to_doc() == to_doc_by_definition(komplex)
+
+
 @pytest.mark.parametrize(
     "r, n, k, betti",
     [(5, 6, 1, bv({3: 5, 4: 15, 5: 20, 6: 15, 7: 6})), (6, 12, 0, bv({4: 2047}))],
@@ -597,6 +650,25 @@ def test_immersion_independence():
     t1 = reduced_betti(build_representation(documented, sphere(0)).T)
     t2 = reduced_betti(build_representation(hat, sphere(0)).T)
     assert t1 == t2 == bv({1: 11})
+
+
+@settings(max_examples=20, deadline=None)
+@given(instance=column_immersions())
+def test_betti_numbers_of_t_do_not_depend_on_the_immersion(instance):
+    """Every permutation of the bits of the canonical immersion of a
+    random GF(2) or GF(3) column matroid gives T the same Betti numbers,
+    those of the formula."""
+    im, x = instance
+    canonical, rho = canonical_immersion(im.matroid, im.rho), im.rho
+    bettis = {
+        reduced_betti(
+            build_representation(
+                ImmersedMatroid(im.matroid, permuted_immersion(canonical, dict(zip(range(1, rho + 1), bits)))), x
+            ).T
+        )
+        for bits in itertools.permutations(range(1, rho + 1))
+    }
+    assert bettis == {expected_betti(im, x)}
 
 
 def test_arrangement_flats_poset():
@@ -657,6 +729,23 @@ def test_build_diagram_covers_are_inclusions(im, x):
     diagram = build_diagram(im, x)
     for lower, upper in diagram.poset.covers():
         assert diagram.space(upper).is_subcomplex_of(diagram.space(lower))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    im=random_immersions(),
+    x=st.sampled_from([sphere(0), sphere(1), SimplicialComplex([(0, 1), (2,)])]),
+)
+def test_flats_with_one_immersion_value_share_one_space(im, x):
+    """``build_diagram`` builds one space per distinct immersion value: two
+    flats hold the same object exactly when their values are equal, and
+    each space equals the join of copies built for its flat alone."""
+    diagram = build_diagram(im, x)
+    l = im.immersion
+    for p in diagram.poset.elements:
+        assert diagram.space(p) == copies_complex(x, l(p))
+        for q in diagram.poset.elements:
+            assert (diagram.space(p) is diagram.space(q)) == (l(p) == l(q))
 
 
 def test_representation_trusts_its_inclusions(monkeypatch):
