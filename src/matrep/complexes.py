@@ -13,8 +13,9 @@ order; rank order is ``label_key`` order because the key is injective.
 Boundary matrices, face counts, simplex lookups and homology maps work on
 that table, and labels are put back only for callers that ask for them
 (``simplices_by_dim``).  A hocolim counts its faces, and reads its
-dimension off them, from its diagram instead, and lists no simplex
-(``diagrams``).  Constructions that know their facets are maximal and
+dimension off them, from its diagram instead, and lists no simplex; its
+vertices and facets are labelled from its numbered Grothendieck poset,
+and no poset of labels is built for it (``diagrams``).  Constructions that know their facets are maximal and
 their vertices sorted (order complexes of posets, joins of copies of a
 complex) hand both to a private constructor that keeps them as given, so
 they filter no facet list and key no vertex.

@@ -9,25 +9,26 @@ one-element poset this is the barycentric subdivision of the carried
 complex, and in general it is the canonical subdivision of the usual
 mapping-cylinder construction.
 
-A poset given by outside pairs is sorted by ``label_key`` and closed once.
-A Grothendieck poset is handed over already sorted, as its cover relation,
-and builds its up-sets only if asked.  Order complexes are enumerated
-along covers, so no chain is cut or tested for maximality.  The part of a
-hocolim over an up-set of the diagram poset is the hocolim of the diagram
-over that up-set, whose Grothendieck poset is the matching up-set of the
-whole one; every hocolim complex builds its poset the same way, from its
-own spaces and covers.
+A poset given by outside pairs is sorted by ``label_key`` and closed once;
+one whose covers its construction knows is handed over as them and builds
+its up-sets only if asked.  Order complexes are enumerated along covers,
+so no chain is cut or tested for maximality.
+
+A hocolim complex numbers its Grothendieck poset once, elements in
+``label_key`` order and covers as pairs of numbers
+(``_grothendieck_numbers``), and builds no poset of labels.  Its vertices
+and facets (the cover paths) are labelled from the numbers when read, and
+its export names the numbered elements and labels neither; flats that
+share one space object share its listing and names.  Its part over an
+up-set of the diagram poset is the hocolim of the diagram over that
+up-set, whose Grothendieck poset is the matching up-set of the whole one.
 
 The order complex subdivides the prodsimplicial model of the hocolim, a
 complex of cells (chain of elements, simplex of the space at its top),
 which has the same homotopy type and far fewer cells.  Every hocolim
 complex carries that model as its cells, built from the diagram's spaces
 and covers alone, and its Betti numbers are read there
-(``complexes.reduced_betti``).  A hocolim complex builds its Grothendieck
-poset, and then its facets, only when they are read.  Its export reads
-the spaces and covers instead, numbering the Grothendieck elements and
-walking the cover paths on the numbers, so it builds neither; flats that
-share one space object share its listing and names.
+(``complexes.reduced_betti``).
 
 Its faces are counted from the diagram too, so face counts, ``dim`` and
 ``is_empty`` build nothing.  Each simplex (p0, s0) < ... < (pj, sj) of the
@@ -39,7 +40,7 @@ on the length of c and the size of t (``_hocolim_face_counts``).
 
 A diagram morphism induces a map of hocolims (``HocolimMap``) that acts
 on the prodsimplicial cells, so its homology map builds neither end's
-poset or facets.
+vertices or facets.
 """
 
 from __future__ import annotations
@@ -248,42 +249,26 @@ class InclusionDiagram:
         return f"InclusionDiagram({len(self.poset.elements)} elements)"
 
 
-def grothendieck_poset(diagram: InclusionDiagram) -> FinitePoset:
-    """Pairs (p, simplex of D(p)), ordered componentwise.
-
-    Comparing simplices across different poset elements is meaningful
-    because the diagram is an inclusion diagram.  Elements carrying the
-    empty complex contribute nothing.  It is generated by (p, s) < (p, s + v)
-    and by (p, s) < (q, s) for covers p < q with s in D(q), and these pairs
-    are exactly its covers: a chain of other such pairs from (p, s) to
-    (p, s + v) or to (q, s) would have to pass strictly between p and q or
-    between s and s + v.  So the poset is handed over as its covers, with
-    the pairs already in ``label_key`` order (``_grothendieck_numbers``).
-    """
-    poset = diagram.poset
-    runs, covers = _grothendieck_numbers({p: diagram.space(p) for p in poset.elements}, poset.covers())
-    faces = {}  # id(space) -> its simplices as vertex sets
-    elements = []
-    for p, space, simplices in runs:
-        if id(space) not in faces:
-            order = space._vertex_order()
-            faces[id(space)] = [frozenset(map(order.__getitem__, s)) for s in simplices]
-        elements.extend((p, s) for s in faces[id(space)])
-    return FinitePoset._from_covers(elements, [(elements[a], elements[b]) for a, b in covers])
-
-
 def _grothendieck_numbers(space_at, covers):
     """The Grothendieck poset of the inclusion diagram with spaces
     ``space_at``, in the order of its poset's elements, and covers
     ``covers``, by number.
 
-    Its elements (p, s) are numbered in ``label_key`` order: elements p in
-    the diagram poset's order, and the nonempty simplices s of D(p) as
-    sorted tuples of D(p)'s vertex ranks, in lexicographic order.  Returns
-    the runs (p, D(p), those tuples), one list of tuples per distinct
-    space, and the covers of ``grothendieck_poset`` as pairs of numbers.
-    A distinct space is listed once, and the covers between two distinct
-    spaces are matched once, however many elements share them.
+    Its elements are the pairs (p, nonempty simplex s of D(p)), ordered
+    componentwise, which is meaningful because the diagram is an inclusion
+    diagram; elements p carrying the empty complex contribute nothing.  It
+    is generated by (p, s) < (p, s + v) and by (p, s) < (q, s) for covers
+    p < q with s in D(q), and these pairs are exactly its covers: a chain
+    of other such pairs from (p, s) to (p, s + v) or to (q, s) would have
+    to pass strictly between p and q or between s and s + v.
+
+    The elements are numbered in ``label_key`` order: elements p in the
+    diagram poset's order, and the nonempty simplices s of D(p) as sorted
+    tuples of D(p)'s vertex ranks, in lexicographic order.  Returns the
+    runs (p, D(p), those tuples), one list of tuples per distinct space,
+    and the covers as pairs of numbers.  A distinct space is listed once,
+    and the covers between two distinct spaces are matched once, however
+    many elements share them.
     """
     listed = {}  # id(space) -> (its nonempty simplices, their numbers, covers among them)
     runs, first, numbered, count = [], {}, [], 0
@@ -315,13 +300,14 @@ class HocolimComplex(SimplicialComplex):
     far as it is read.
 
     It keeps the diagram's spaces, in the order of its poset's elements,
-    and its covers.  Its vertices are the elements of
-    ``grothendieck_poset`` of the diagram they make, so reading them builds
-    that poset and no facet; the facets are enumerated along the poset's
-    covers on first read.  Its export, its cells (the diagram's
-    prodsimplicial model) and its face counts read the spaces and covers
-    alone.  A homology map into or out of the complex keeps its cells,
-    with their tracked reduction.
+    and its covers, and numbers the Grothendieck elements and their covers
+    once, when first asked (``_grothendieck_numbers``).  Its vertices are
+    the numbered elements labelled (p, simplex), in ``label_key`` order,
+    and its facets the cover paths on the numbers, labelled; reading the
+    vertices lists no facet.  Its export reads the numbers too, and its
+    cells (the diagram's prodsimplicial model) and its face counts read
+    the spaces and covers alone.  A homology map into or out of the
+    complex keeps its cells, with their tracked reduction.
     """
 
     def __init__(self, space_at, covers):
@@ -329,13 +315,19 @@ class HocolimComplex(SimplicialComplex):
         self._covers = covers
 
     @functools.cached_property
-    def poset(self) -> FinitePoset:
-        poset = FinitePoset._from_covers(self._space_at, self._covers)
-        return grothendieck_poset(InclusionDiagram._known(poset, self._space_at))
+    def _numbered(self) -> tuple:
+        return _grothendieck_numbers(self._space_at, self._covers)
 
     @functools.cached_property
     def _order(self) -> tuple:
-        return self.poset.elements
+        faces = {}  # id(space) -> its simplices as vertex sets
+        order = []
+        for p, space, simplices in self._numbered[0]:
+            if id(space) not in faces:
+                vertex = space._vertex_order()
+                faces[id(space)] = [frozenset(map(vertex.__getitem__, s)) for s in simplices]
+            order.extend((p, s) for s in faces[id(space)])
+        return tuple(order)
 
     @functools.cached_property
     def _vertices(self) -> frozenset:
@@ -343,7 +335,9 @@ class HocolimComplex(SimplicialComplex):
 
     @functools.cached_property
     def _facets(self) -> frozenset:
-        return order_complex(self.poset).facets
+        order = self._order
+        paths = _cover_paths(len(order), self._numbered[1])
+        return frozenset(frozenset(map(order.__getitem__, path)) for path in paths)
 
     @functools.cached_property
     def _face_counts(self) -> dict:
@@ -356,7 +350,7 @@ class HocolimComplex(SimplicialComplex):
 
     def to_doc(self) -> dict:
         """``SimplicialComplex.to_doc``, read from the spaces and covers by
-        number, with no Grothendieck poset or facet set built.
+        number, with no vertex labelled and no facet set built.
 
         A vertex (p, s) is named "(" + name(p) + "," + name(s) + ")", the
         name of s built once per distinct space from its vertices' names in
@@ -365,7 +359,7 @@ class HocolimComplex(SimplicialComplex):
         is ranked once in string order, so sorting each facet, and then
         the facets, as tuples of ranks is sorting them as lists of names.
         """
-        runs, covers = _grothendieck_numbers(self._space_at, self._covers)
+        runs, covers = self._numbered
         fmt = label_formatter()
         names, named = [], {}  # id(space) -> its simplices' names
         for p, space, simplices in runs:

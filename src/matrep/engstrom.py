@@ -30,7 +30,7 @@ from .complexes import (
     homology_map,
     reduced_betti,
 )
-from .diagrams import FinitePoset, Hocolim, HocolimMap, InclusionDiagram, hocolim
+from .diagrams import FinitePoset, HocolimMap, InclusionDiagram, hocolim
 from .labels import label_key, sort_labels
 from .matroid import FlatMap, Matroid, MatroidError, SetMap, induced_flat_map
 
@@ -177,23 +177,23 @@ def build_diagram(im: ImmersedMatroid, x: SimplicialComplex) -> InclusionDiagram
 class Representation:
     """T as the hocolim over the lattice minus its bottom.
 
-    ``hocolim`` is that of the diagram over the whole lattice
-    (``build_diagram``), so its complex is Y.  T is the part of it over the
-    flats other than the bottom, and the subcomplexes of T over up-sets of
-    flats, the atom subcomplexes among them, are the parts over those
-    up-sets, read off once per flat when first read
+    ``hocolim`` is that of its own diagram over the whole lattice
+    (``build_diagram``), built here, so its complex is Y.  T is the part
+    of it over the flats other than the bottom, and the subcomplexes of T
+    over up-sets of flats, the atom subcomplexes among them, are the parts
+    over those up-sets, read off once per flat when first read
     (``Hocolim.over_upset``).  Each vertex is a Grothendieck element (flat,
     simplex), so its flat is its first entry.  All of them are hocolims,
     built only as far as they are read, so their Betti numbers come from
     their prodsimplicial cells and list no facet (``diagrams``).
     """
 
-    def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex, hocolim: Hocolim):
+    def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex):
         self.immersed = immersed
         self.template = template
-        self.hocolim = hocolim
+        self.hocolim = hocolim(build_diagram(immersed, template))
         bottom = self.lattice.bottom
-        self.T = hocolim.over_upset(lambda p: p != bottom)
+        self.T = self.hocolim.over_upset(lambda p: p != bottom)
         self._upsets = {bottom: self.T}
 
     @property
@@ -222,9 +222,8 @@ class Representation:
 
 
 def build_representation(im: ImmersedMatroid, x: SimplicialComplex) -> Representation:
-    """T and Y from the one diagram of the whole lattice: Y is its hocolim,
-    and T and T's covering subcomplexes are read off it."""
-    return Representation(im, x, hocolim(build_diagram(im, x)))
+    """T and Y from the one diagram of the whole lattice (``Representation``)."""
+    return Representation(im, x)
 
 
 def _layer_betti(b: BettiVector, e: int, k: int) -> BettiVector:
@@ -535,11 +534,10 @@ def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     """
     if action.complex != x:
         raise ValueError("action must act on the template complex")
-    diagrams = [build_diagram(im, x) for im in (im_m, im_n)]
-    source, target = (Representation(im, x, hocolim(d)).T for im, d in zip((im_m, im_n), diagrams))
-    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, source, target, SimplicialMap.identity(x))
+    source, target = (build_representation(im, x) for im in (im_m, im_n))
+    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, source.T, target.T, SimplicialMap.identity(x))
     # flats with one immersion value share their space (``build_diagram``)
-    distinct = {id(space): space for d in diagrams for space in d.space_at.values()}.values()
+    distinct = {id(space): space for rep in (source, target) for space in rep.Y._space_at.values()}.values()
     for perm in action.nonidentity_elements():
 
         def lift(vertex):
@@ -548,7 +546,7 @@ def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
         for space in distinct:
             _check_simplicial_and_free(space, {v: lift(v) for v in space.vertices})
         for p, f_p in rmap.components.items():
-            if any(f_p(lift(v)) != lift(f_p(v)) for v in diagrams[0].space(p).vertices):
+            if any(f_p(lift(v)) != lift(f_p(v)) for v in source.Y._space_at[p].vertices):
                 return False
     return True
 

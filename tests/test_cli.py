@@ -277,7 +277,7 @@ def test_represent_builds_no_t(monkeypatch, capsys, refuse_to_build_t):
     assert sum((-1) ** j * f for j, f in counts.items()) - 1 == sum((-1) ** k * b for k, b in betti.items())
     for rep in built:
         assert rep.T._simplices is None
-        assert "poset" not in rep.T.__dict__ and "_facets" not in rep.T.__dict__
+        assert "_order" not in rep.T.__dict__ and "_facets" not in rep.T.__dict__
 
 
 def pinned_represent_arguments(name, tmp_path):

@@ -24,7 +24,6 @@ from matrep.diagrams import (
     NaturalityFailure,
     NotInclusionDiagram,
     colim,
-    grothendieck_poset,
     hocolim,
     homotopic_pair_check,
     induced_map,
@@ -132,16 +131,28 @@ def random_inclusion_diagrams(draw):
     return InclusionDiagram(poset, spaces)
 
 
+def numbered_grothendieck_poset(komplex) -> FinitePoset:
+    """The Grothendieck poset that a hocolim complex numbers: its vertices
+    in their order, ordered by its numbered covers, labelled; the checking
+    constructor sorts and closes it anew."""
+    order = komplex._vertex_order()
+    return FinitePoset(order, [(order[a], order[b]) for a, b in komplex._numbered[1]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(diagram=random_inclusion_diagrams())
 def test_grothendieck_poset_matches_definition(diagram):
+    """A hocolim complex's vertices, numbered covers and facets are the
+    elements, covers and maximal chains of the Grothendieck poset by
+    definition."""
     reference = grothendieck_poset_by_definition(diagram)
     assume(len(reference.elements) <= 14)  # the chain oracle enumerates subsets
-    gr = grothendieck_poset(diagram)
-    assert gr.elements == reference.elements
+    komplex = hocolim(diagram).complex
+    gr = numbered_grothendieck_poset(komplex)
+    assert komplex._vertex_order() == gr.elements == reference.elements
     assert all(gr.leq(a, b) == reference.leq(a, b) for a in gr.elements for b in gr.elements)
     assert set(gr.covers()) == covers_by_definition(reference)
-    assert hocolim(diagram).complex.facets == maximal_chains_by_brute_force(reference)
+    assert komplex.facets == maximal_chains_by_brute_force(reference)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,14 +209,17 @@ def test_vertex_order_matches_label_key_sort(komplex, data):
 @settings(max_examples=60, deadline=None)
 @given(diagram=random_inclusion_diagrams(), data=st.data())
 def test_trusted_grothendieck_poset_equals_checked_one(diagram, data):
-    """The Grothendieck poset is handed over sorted, as its covers; it must
-    equal the poset that FinitePoset sorts and closes from every pair, and
-    each of its up-set complexes the full subcomplex of its hocolim."""
+    """A hocolim complex numbers its Grothendieck elements sorted and lists
+    each cover once; labelled, they must be the poset that FinitePoset
+    sorts and closes from every pair, and each of its up-set complexes the
+    full subcomplex of its hocolim."""
     reference = grothendieck_poset_by_definition(diagram)
-    gr = grothendieck_poset(diagram)
-    assert gr.elements == tuple(sort_labels(set(gr.elements)))
-    assert len(set(gr.covers())) == len(gr.covers())
-    assert set(gr.covers()) == covers_by_definition(reference)
+    komplex = hocolim(diagram).complex
+    order, covers = komplex._vertex_order(), komplex._numbered[1]
+    assert order == tuple(sort_labels(set(order)))
+    assert len(set(covers)) == len(covers)
+    assert {(order[a], order[b]) for a, b in covers} == covers_by_definition(reference)
+    gr = numbered_grothendieck_poset(komplex)
     assert all(gr.leq(a, b) == reference.leq(a, b) for a in gr.elements for b in gr.elements)
     assert gr == reference and hash(gr) == hash(reference)
 
@@ -247,8 +261,7 @@ def test_inclusion_diagram_validation():
 def test_grothendieck_poset_counts():
     p = chain_poset(1)
     d = InclusionDiagram(p, {0: sphere(1)})
-    gr = grothendieck_poset(d)
-    assert len(gr.elements) == 6  # 3 vertices + 3 edges
+    assert len(hocolim(d).complex.vertices) == 6  # 3 vertices + 3 edges
 
 
 def test_hocolim_is_built_once_per_diagram():
