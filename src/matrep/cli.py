@@ -30,6 +30,7 @@ from .complexes import (
 )
 from .diagrams import colim, hocolim
 from .engstrom import (
+    ImmersedMatroid,
     Immersion,
     arrangement_matches_lattice,
     build_representation,
@@ -297,7 +298,10 @@ def cmd_check_map(args, started) -> int:
 def cmd_represent(args, started) -> int:
     matroid, doc_immersion = resolve_matroid(args.matroid)
     template = resolve_complex(args.template)
-    im = immersed(matroid, args.rho, doc_immersion if args.rho is None else None)
+    if doc_immersion is not None and args.rho is None:
+        im = ImmersedMatroid(matroid, doc_immersion)
+    else:
+        im = immersed(matroid, args.rho)
     rep = build_representation(im, template)
     constructed = reduced_betti(rep.T)
     expected = expected_betti(im, template)

@@ -6,13 +6,14 @@ complex X; the homotopy colimit over the lattice minus its bottom is the
 representation T, covered by one subcomplex per atom.  One diagram is built
 per representation, over the whole lattice, and its hocolim is Y; T and
 every subcomplex of T over an up-set of flats are read off it, as the
-hocolims of the diagram over those up-sets.  The arrangement,
-x-arrangement and equivariance checks read the flats and the diagram's
-spaces, not T or Y.  Reduced Betti numbers of T
-are a weighted count of suspensions of join powers of X, with Whitney
-numbers of the first kind as weights; the formula side gets them by Betti
-arithmetic from those of X (the Kunneth formula for joins), building no
-complex.  Weak maps of matroids induce maps of hocolims between
+hocolims of the diagram over those up-sets.  The arrangement check reads
+the flats and the diagram's spaces, the x-arrangement check the cells of Y
+and of the up-set complexes, and equivariance is decided on X alone, after
+the one refusal of weak maps (``_admissible_flat_map``).  Reduced Betti
+numbers of T are a weighted count of suspensions of join powers of X, with
+Whitney numbers of the first kind as weights; the formula side gets them by
+Betti arithmetic from those of X (the Kunneth formula for joins), building
+no complex.  Weak maps of matroids induce maps of hocolims between
 representations, acting on the prodsimplicial cells (``diagrams``).
 """
 
@@ -130,10 +131,8 @@ class ImmersedMatroid:
         return self.immersion.rho
 
 
-def immersed(matroid: Matroid, rho: int | None = None, immersion: Immersion | None = None) -> ImmersedMatroid:
-    if immersion is None:
-        immersion = canonical_immersion(matroid, matroid.rank_total if rho is None else rho)
-    return ImmersedMatroid(matroid, immersion)
+def immersed(matroid: Matroid, rho: int | None = None) -> ImmersedMatroid:
+    return ImmersedMatroid(matroid, canonical_immersion(matroid, matroid.rank_total if rho is None else rho))
 
 
 def is_admissible(tau: SetMap, l: Immersion, l_prime: Immersion) -> bool:
@@ -374,16 +373,10 @@ def induced_representation_map(
     return _representation_map(tau, im_m.immersion, im_n.immersion, source, target, f_x)
 
 
-def _representation_map(tau, l, l_prime, source, target, f_x) -> HocolimMap:
-    """The map of ``induced_representation_map`` between the given T's: the
-    flat map g of tau is derived once (one ``classify_map`` call), refused
-    unless admissible, and rerouted if it annihilates an atom.
-
-    Nothing else is checked: the flat map is order-preserving, f_x is
-    simplicial and is applied copywise at every flat, and admissibility,
-    l(p) in l'(g(p)), puts the image of each flat's space inside the space
-    at g(p), which is not the bottom, as no atom goes there.
-    """
+def _admissible_flat_map(tau, l, l_prime) -> FlatMap:
+    """The flat map of tau, derived once (one ``classify_map`` call): refused
+    unless admissible, and if it annihilates an atom, rerouted
+    (``reroute_annihilating``) and refused unless still admissible."""
     g = induced_flat_map(tau)
     if _inadmissible_flat(l, l_prime, g) is not None:
         raise NotAdmissible("the weak map does not respect the immersions")
@@ -392,6 +385,19 @@ def _representation_map(tau, l, l_prime, source, target, f_x) -> HocolimMap:
         p = _inadmissible_flat(l, l_prime, g)
         if p is not None:
             raise NotAdmissible(f"rerouted image violates the immersions at {sort_labels(p)}")
+    return g
+
+
+def _representation_map(tau, l, l_prime, source, target, f_x) -> HocolimMap:
+    """The map of ``induced_representation_map`` between the given T's, on
+    the flat map of ``_admissible_flat_map``.
+
+    Nothing else is checked: the flat map is order-preserving, f_x is
+    simplicial and is applied copywise at every flat, and admissibility,
+    l(p) in l'(g(p)), puts the image of each flat's space inside the space
+    at g(p), which is not the bottom, as no atom goes there.
+    """
+    g = _admissible_flat_map(tau, l, l_prime)
     lat = g.source_lattice
     poset_map = {p: g(p) for p in lat.flats if p != lat.bottom}
 
@@ -515,39 +521,28 @@ def _check_simplicial_and_free(komplex: SimplicialComplex, perm):
 def check_equivariance(action: GroupAction, tau, im_m, im_n, x) -> bool:
     """The action on x extends copywise to both representations; it must
     stay simplicial and free there, and the induced map must commute with
-    it.  Both are decided on the spaces of the two diagrams, and no
-    Grothendieck poset or order complex is built.
+    it.  Both are decided on x, once an inadmissible weak map is refused
+    (``_admissible_flat_map``); no representation or map is built.
 
     The lift of a permutation to Y fixes every flat: it sends (p, s) to
     (p, the copywise image of s).  So a simplex (p0, s0) < ... < (pk, sk)
     of Y goes to a simplex exactly when each image of s_i lies in D(p_i);
     and it is fixed setwise exactly when each s_i is, since a permutation
-    of a chain that keeps its order fixes every element.  The lift is thus
-    simplicial and free on Y, and on T and every atom intersection, its
-    full subcomplexes, exactly when the copywise lift is on every space
-    D(p) of both diagrams, the bottom's included, checked once per
-    distinct space by the routine ``GroupAction`` uses.  The induced map
-    sends (p, s) to (g(p), f_p(s)), so it commutes with the lifts on the
-    vertices of T exactly when each component f_p does on the vertices of
-    D(p).  The map is still written on the two T's, so an inadmissible
-    weak map is refused.
+    of a chain that keeps its order fixes every element.  A copywise lift
+    to a join of k >= 1 copies of x keeps each copy, so it is simplicial
+    and free there exactly when the permutation is on x; at rho = 0 every
+    space is empty.  So is the lift on Y, and on T and every atom
+    intersection, its full subcomplexes.  The induced map's components
+    are copywise identities, so it commutes with the lifts by construction.
     """
     if action.complex != x:
         raise ValueError("action must act on the template complex")
-    source, target = (build_representation(im, x) for im in (im_m, im_n))
-    rmap = _representation_map(tau, im_m.immersion, im_n.immersion, source.T, target.T, SimplicialMap.identity(x))
-    # flats with one immersion value share their space (``build_diagram``)
-    distinct = {id(space): space for rep in (source, target) for space in rep.Y._space_at.values()}.values()
-    for perm in action.nonidentity_elements():
-
-        def lift(vertex):
-            return vertex[0], perm[vertex[1]]
-
-        for space in distinct:
-            _check_simplicial_and_free(space, {v: lift(v) for v in space.vertices})
-        for p, f_p in rmap.components.items():
-            if any(f_p(lift(v)) != lift(f_p(v)) for v in source.Y._space_at[p].vertices):
-                return False
+    if x.is_empty:
+        raise ValueError("the template complex must be nonempty")
+    _admissible_flat_map(tau, im_m.immersion, im_n.immersion)
+    if im_m.rho >= 1:
+        for perm in action.nonidentity_elements():
+            _check_simplicial_and_free(x, perm)
     return True
 
 

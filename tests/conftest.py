@@ -7,19 +7,19 @@ import pytest
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """``count_calls(module, name, when=None)`` wraps the one-argument
-    function ``module.name`` in every matrep module that holds it, and
-    returns the list, in order, of the arguments of its calls from then on
-    for which ``when`` holds (every call when ``when`` is None)."""
+    """``count_calls(module, name, when=None)`` wraps the function or class
+    ``module.name`` in every matrep module that holds it, and returns the
+    list, in order, of the first arguments of its calls from then on for
+    which ``when`` holds (every call when ``when`` is None)."""
 
     def count(module, name, when=None):
         original = getattr(module, name)
         calls = []
 
-        def counting(arg):
+        def counting(arg, *rest):
             if when is None or when(arg):
                 calls.append(arg)
-            return original(arg)
+            return original(arg, *rest)
 
         for module_name, held in list(sys.modules.items()):
             if module_name.split(".")[0] == "matrep" and getattr(held, name, None) is original:

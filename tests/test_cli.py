@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from matrep import catalog, cli, engstrom
-from matrep.matroid import MAX_ELEMENTS
+from matrep.complexes import MAX_SIMPLICES, sphere
+from matrep.matroid import MAX_ELEMENTS, uniform
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,32 @@ def test_oversized_documents_are_refused_before_subsets(tmp_path, capsys, doc):
     assert time.perf_counter() - started < 1
     assert code == 3 and report is None
     assert "30 elements" in run_cli.last_err and str(MAX_ELEMENTS) in run_cli.last_err
+
+
+@pytest.mark.parametrize(
+    "command, count",
+    [(["represent", "U2,3", "S0", "--rho", "30"], 3**30 - 1), (["betti", "simplex.json"], 2**30 - 1)],
+    ids=["join-of-30-copies", "30-vertex-facet"],
+)
+def test_oversized_complexes_are_refused_before_their_simplices(tmp_path, monkeypatch, capsys, command, count):
+    # a join of 30 copies of S0, or a facet on 30 vertices, would otherwise
+    # list its simplices until memory runs out
+    (tmp_path / "simplex.json").write_text(json.dumps({"facets": [list(range(30))]}))
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    code, report = run_cli(capsys, *command)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert str(count) in run_cli.last_err and str(MAX_SIMPLICES) in run_cli.last_err
+
+
+def test_the_simplex_budget_admits_the_export_of_u45_s1():
+    """`matrep betti` on U4,5 x S1's exported T lists its 1,001,220
+    simplices, of at most 6 vertices each, within the budget; the count is
+    read off the diagram here, with no simplex listed."""
+    t = engstrom.build_representation(engstrom.immersed(uniform(4, 5)), sphere(1)).T
+    assert sum(t.face_counts().values()) == 1_001_220 <= MAX_SIMPLICES
+    assert 2 ** (t.dim + 1) - 1 <= MAX_SIMPLICES
 
 
 def test_info_report_deterministic(capsys):

@@ -21,7 +21,7 @@ from matrep.complexes import (
     sphere,
 )
 import matrep
-from matrep import linalg
+from matrep import complexes, linalg
 from matrep.engstrom import _layer_betti
 from matrep.labels import format_label, label_formatter
 
@@ -365,3 +365,19 @@ def test_label_formatter_keeps_ints_and_bools_apart():
         fmt(True)
     with pytest.raises(TypeError):
         format_label(True)
+
+
+def test_simplex_tables_stop_at_the_budget(monkeypatch):
+    """A complex's simplex table refuses a facet with more faces than
+    ``MAX_SIMPLICES`` before listing them, and stops once it passes the
+    budget; a join of copies is refused before its facets are listed.  A
+    complex at the budget is not refused."""
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 7)
+    assert sum(SimplicialComplex([(0, 1, 2)]).face_counts().values()) == 7
+    with pytest.raises(ValueError, match="15 faces, over the budget 7"):
+        SimplicialComplex([(0, 1, 2, 3)]).face_counts()
+    with pytest.raises(ValueError, match="at least 10 simplices, over the budget 7"):
+        SimplicialComplex([(0, 1, 2), (3, 4)]).face_counts()
+    assert copies_complex(SimplicialComplex([(0,)]), [1, 2, 3]) == SimplicialComplex([[(1, 0), (2, 0), (3, 0)]])
+    with pytest.raises(ValueError, match="8 simplices, over the budget 7"):
+        copies_complex(sphere(0), [1, 2])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from matrep import complexes, diagrams, labels, matroid
+from matrep import complexes, diagrams, engstrom, labels, matroid
 from matrep.catalog import (
     five_point_immersion,
     five_point_matroid,
@@ -174,6 +174,14 @@ def test_build_diagram_spaces():
     assert {i for (i, _) in four_cycle.vertices} == {1, 3}
     with pytest.raises(ValueError):
         build_diagram(ex, SimplicialComplex.empty())
+
+
+def test_large_diagrams_stay_within_the_simplex_budget():
+    """The joins of copies at rho = 6 of U6,12 over S0 and of U6,7 over S1
+    are built, not refused."""
+    for m, x in [(uniform(6, 12), sphere(0)), (uniform(6, 7), sphere(1))]:
+        d = build_diagram(immersed(m, rho=6), x)
+        assert len(d.space(m.lattice().bottom).facets) == len(x.facets) ** 6
 
 
 def test_representation_shapes():
@@ -1132,14 +1140,17 @@ def test_facet_and_cycle_checks_agree_with_every_simplex(facets, data):
     assert outcomes[0] == outcomes[1]
 
 
-def test_equivariance_builds_one_hocolim_per_side(count_calls, refuse_to_build_t):
-    """One diagram and one hocolim per side, and the check reads their
-    spaces: no Grothendieck poset or order complex is built."""
-    built = count_calls(diagrams, "hocolim")
+def test_equivariance_builds_no_diagram_hocolim_or_map(count_calls):
+    """Equivariance is decided on the template: no diagram, hocolim or map
+    of hocolims is built, so no representation either."""
+    built = [
+        count_calls(module, name)
+        for module, name in [(engstrom, "build_diagram"), (diagrams, "hocolim"), (diagrams, "HocolimMap")]
+    ]
     m, n, _ = rank3_chain()
     s0 = sphere(0)
     assert check_equivariance(swap_action_on_s0(), identity_map(m, n), immersed(m), immersed(n), s0)
-    assert len(built) == len({id(d) for d in built}) == 2
+    assert built == [[], [], []]
 
 
 def tampered(action, extra):
@@ -1188,16 +1199,18 @@ def test_equivariance_agrees_with_y_route_on_the_catalog():
 
 
 @st.composite
-def identity_weak_maps(draw):
+def identity_weak_maps(draw, max_rho):
     """The identity M -> N of column matroids over GF(2) or GF(3), N's
     columns M's with the last coordinate dropped, so every dependence of
-    M holds in N; immersions of both at one rho, canonical or reversed."""
+    M holds in N; immersions of both at one rho, canonical or reversed,
+    rho M's rank or one more, and at most ``max_rho``."""
     p = draw(st.sampled_from([2, 3]))
     entry = st.integers(0, p - 1)
     columns = draw(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=4))
     m = matroid_of_columns(columns, p)
     n = matroid_of_columns([c[:2] for c in columns], p)
-    rho = m.rank_total + draw(st.integers(0, 1))
+    assume(m.rank_total <= max_rho)
+    rho = m.rank_total + draw(st.integers(0, min(1, max_rho - m.rank_total)))
     l, l_prime = canonical_immersion(m, rho), canonical_immersion(n, rho)
     if draw(st.booleans()):
         l = reversed_immersion(l)
@@ -1206,14 +1219,32 @@ def identity_weak_maps(draw):
     return identity_map(m, n), ImmersedMatroid(m, l), ImmersedMatroid(n, l_prime)
 
 
-@settings(max_examples=30, deadline=None)
-@given(instance=identity_weak_maps())
-def test_equivariance_agrees_with_y_route_on_random_weak_maps(instance):
-    tau, im_m, im_n = instance
-    s0 = sphere(0)
+CYCLE4 = SimplicialComplex([(0, 1), (1, 2), (2, 3), (3, 0)])
+
+# the actions drawn for the template, each with the largest rho it is
+# checked at: the swap of S0, the Z/3 rotation of S1, the antipodal Z/2 on
+# a 4-cycle, and two of them with a faulty element slipped in, a
+# reflection of S1 that fixes a vertex and a vertex swap of the 4-cycle
+# that breaks an edge.  Y of the larger templates at rho = 3 has
+# thousands of facets, and the check on it takes about a second.
+ACTIONS = [
+    (swap_action_on_s0, 4),
+    (lambda: GroupAction(sphere(1), [{0: 1, 1: 2, 2: 0}]), 2),
+    (lambda: GroupAction(CYCLE4, [{0: 2, 1: 3, 2: 0, 3: 1}]), 2),
+    (lambda: tampered(GroupAction(sphere(1), [{0: 1, 1: 2, 2: 0}]), {0: 0, 1: 2, 2: 1}), 2),
+    (lambda: tampered(GroupAction(CYCLE4, [{0: 2, 1: 3, 2: 0, 3: 1}]), {0: 1, 1: 0, 2: 2, 3: 3}), 2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equivariance_agrees_with_y_route_on_random_weak_maps(data):
+    action, max_rho = data.draw(st.sampled_from(ACTIONS))
+    tau, im_m, im_n = data.draw(identity_weak_maps(max_rho))
+    x = action().complex
     assert classify_map(tau).is_weak
-    assert equivariance_outcome(check_equivariance, swap_action_on_s0(), tau, im_m, im_n, s0) == (
-        equivariance_outcome(check_equivariance_on_y, swap_action_on_s0(), tau, im_m, im_n, s0)
+    assert equivariance_outcome(check_equivariance, action(), tau, im_m, im_n, x) == (
+        equivariance_outcome(check_equivariance_on_y, action(), tau, im_m, im_n, x)
     )
 
 
