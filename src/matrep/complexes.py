@@ -35,7 +35,7 @@ import functools
 import itertools
 import types
 
-from .labels import label_formatter, sort_labels
+from .labels import format_label, sort_labels
 from . import linalg
 
 # At the cap a complex's simplex table holds about two million simplices:
@@ -164,8 +164,7 @@ class SimplicialComplex:
         return {k: len(ss) for k, ss in self._ranked().items() if k >= 0}
 
     def to_doc(self) -> dict:
-        fmt = label_formatter()
-        name = {v: fmt(v) for v in self._vertex_order()}
+        name = {v: format_label(v) for v in self._vertex_order()}
         facets = sorted(sorted(name[v] for v in f) for f in self._facets)
         return {"vertices": list(name.values()), "facets": facets}
 

@@ -50,7 +50,7 @@ import itertools
 import math
 
 from .complexes import SimplicialComplex, _sorted_with_sign, _tracked
-from .labels import label_formatter, sort_labels
+from .labels import format_label, sort_labels
 
 
 class DiagramError(ValueError):
@@ -304,10 +304,11 @@ class HocolimComplex(SimplicialComplex):
     once, when first asked (``_grothendieck_numbers``).  Its vertices are
     the numbered elements labelled (p, simplex), in ``label_key`` order,
     and its facets the cover paths on the numbers, labelled; reading the
-    vertices lists no facet.  Its export reads the numbers too, and its
-    cells (the diagram's prodsimplicial model) and its face counts read
-    the spaces and covers alone.  A homology map into or out of the
-    complex keeps its cells, with their tracked reduction.
+    vertices lists no facet.  Its export reads the numbers too.  Its face
+    counts and its cells (the diagram's prodsimplicial model) read the
+    spaces and the up-sets of the live elements alone, found once
+    (``_live_upsets``); the cells are kept once built, and a homology map
+    into or out of the complex keeps their tracked reduction too.
     """
 
     def __init__(self, space_at, covers):
@@ -340,8 +341,12 @@ class HocolimComplex(SimplicialComplex):
         return frozenset(frozenset(map(order.__getitem__, path)) for path in paths)
 
     @functools.cached_property
+    def _live(self) -> tuple:
+        return _live_upsets(self._space_at, self._covers)
+
+    @functools.cached_property
     def _face_counts(self) -> dict:
-        return _hocolim_face_counts(self._space_at, self._covers)
+        return _hocolim_face_counts(self._space_at, *self._live)
 
     def face_counts(self) -> dict:
         """Simplices per dimension, counted from the spaces and covers
@@ -360,13 +365,12 @@ class HocolimComplex(SimplicialComplex):
         the facets, as tuples of ranks is sorting them as lists of names.
         """
         runs, covers = self._numbered
-        fmt = label_formatter()
         names, named = [], {}  # id(space) -> its simplices' names
         for p, space, simplices in runs:
             if id(space) not in named:
-                vertex = [fmt(v) for v in space._vertex_order()]
+                vertex = [format_label(v) for v in space._vertex_order()]
                 named[id(space)] = ["{" + ",".join(map(vertex.__getitem__, s)) + "}" for s in simplices]
-            flat = "(" + fmt(p) + ","
+            flat = "(" + format_label(p) + ","
             names.extend(flat + s + ")" for s in named[id(space)])
         ordered = sorted(set(names))
         position = {name: r for r, name in enumerate(ordered)}
@@ -387,17 +391,14 @@ class HocolimComplex(SimplicialComplex):
 
     @functools.cached_property
     def _model(self) -> tuple:
-        return _prodsimplicial_cells(self._space_at, self._covers)
+        return _prodsimplicial_cells(self._space_at, *self._live)
 
     def _cells(self):
-        # the model a homology map keeps, or one dropped after the Betti
-        # numbers, so that Betti numbers alone keep no cell alive
-        model = self.__dict__.get("_model") or _prodsimplicial_cells(self._space_at, self._covers)
-        return model[0], _cell_boundary
+        return self._model[0], _cell_boundary
 
     @functools.cached_property
     def _cell_reduction(self) -> dict:
-        return _tracked(self._model[0], _cell_boundary)
+        return _tracked(*self._cells())
 
 
 class Hocolim:
@@ -443,17 +444,17 @@ def _live_upsets(space_at, covers):
     return live, up
 
 
-def _hocolim_face_counts(space_at, covers) -> dict:
+def _hocolim_face_counts(space_at, live, up) -> dict:
     """Dimension -> the number of simplices of the order complex of the
-    Grothendieck poset of the inclusion diagram with spaces ``space_at``
-    and covers ``covers``, none of them listed.
+    Grothendieck poset of the inclusion diagram with spaces ``space_at``,
+    none of them listed; ``live`` and ``up`` are the diagram's elements
+    with a nonempty space and their up-sets (``_live_upsets``).
 
     Each simplex lies inside exactly one prodsimplicial cell, so f_j is the
     sum over the elements q, chain lengths a and simplex sizes b of (the
     chains of a elements with top q) * (the simplices of D(q) with b
     vertices) * ``_interior_chains(a, b, j)``.
     """
-    live, up = _live_upsets(space_at, covers)
     ending = {p: {1: 1} for p in live}  # p -> a -> chains of a elements with top p
     for p, above in reversed(up.items()):  # every element below p comes first
         for q in above - {p}:
@@ -496,12 +497,13 @@ def _surjections(b, m) -> int:
     return sum((-1) ** i * math.comb(m, i) * (m - i) ** b for i in range(m + 1))
 
 
-def _prodsimplicial_cells(space_at, covers):
+def _prodsimplicial_cells(space_at, live, up):
     """The prodsimplicial model of the hocolim of the inclusion diagram
-    with spaces ``space_at``, whose covers are the pairs in ``covers``
-    between its elements: its cells per dimension, in the form
-    ``complexes._reduce_down`` takes with ``_cell_boundary``, the elements
-    by number, and the vertex -> number map.
+    with spaces ``space_at``, whose elements with a nonempty space and
+    their up-sets are ``live`` and ``up`` (``_live_upsets``): its cells
+    per dimension, in the form ``complexes._reduce_down`` takes with
+    ``_cell_boundary``, and the vertex -> number map.  A chain holds the
+    elements by their number in ``live``.
 
     A cell (c, t) is a chain c = p0 < ... < pk of elements and a nonempty
     simplex t of D(pk), the smallest space on the chain; its dimension is
@@ -519,7 +521,6 @@ def _prodsimplicial_cells(space_at, covers):
     p alone and p followed by each chain starting above p, so they are
     built top-down from the up-sets of the covers.
     """
-    live, up = _live_upsets(space_at, covers)
     number = {p: i for i, p in enumerate(live)}
     vertex = {}
     listed = {}  # id(space) -> its nonempty simplices by vertex number
@@ -540,7 +541,7 @@ def _prodsimplicial_cells(space_at, covers):
             for t in simplices[c[-1]]:
                 index = cells.setdefault(len(c) + len(t) - 2, {})
                 index[c, t] = len(index)
-    return cells, live, vertex
+    return cells, vertex
 
 
 def _cell_boundary(cell, row) -> dict:
@@ -638,9 +639,9 @@ class HocolimMap:
 
     def _chain_map(self):
         """The map on cells, in the form ``complexes.HomologyMap`` takes."""
-        cells, live, vertex = self.source._model
-        tgt_cells, tgt_live, tgt_vertex = self.target._model
-        number = {q: i for i, q in enumerate(tgt_live)}
+        live, vertex = self.source._live[0], self.source._model[1]
+        tgt_vertex = self.target._model[1]
+        number = {q: i for i, q in enumerate(self.target._live[0])}
         g = [number[self.poset_map[p]] for p in live]
         f = [self.components[p] for p in live]
         label = list(vertex)

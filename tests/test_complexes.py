@@ -23,7 +23,7 @@ from matrep.complexes import (
 import matrep
 from matrep import complexes, linalg
 from matrep.engstrom import _layer_betti
-from matrep.labels import format_label, label_formatter
+from matrep.labels import format_label
 
 from oracles import (
     betti_by_gf_rank,
@@ -31,6 +31,7 @@ from oracles import (
     boundary_rows,
     compose,
     disjoint_union,
+    format_label_by_definition,
     full_subcomplex,
     gf_rank,
     join,
@@ -358,13 +359,30 @@ def test_export_is_deterministic():
 
 
 def test_label_formatter_keeps_ints_and_bools_apart():
-    fmt = label_formatter()
+    fmt = format_label
     assert fmt(frozenset({(1, "a"), (0, frozenset({2, 1}))})) == "{(0,{1,2}),(1,a)}"
     assert fmt(1) == "1" and fmt((1, "a")) == "(1,a)"
     with pytest.raises(TypeError):
         fmt(True)
     with pytest.raises(TypeError):
         format_label(True)
+
+
+NESTED_LABELS = st.recursive(
+    st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=NESTED_LABELS)
+def test_format_label_is_its_definition(label):
+    """Tuples format their parts in order and frozensets their elements in
+    ``label_key`` order, at any depth; a bool anywhere is refused."""
+    assert format_label(label) == format_label_by_definition(label)
+    with pytest.raises(TypeError):
+        format_label((label, True))
 
 
 def test_simplex_tables_stop_at_the_budget(monkeypatch):

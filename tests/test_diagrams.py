@@ -299,6 +299,24 @@ def test_chains_inside_a_cell_by_enumeration(a, b):
     }
 
 
+def test_face_counts_dim_and_betti_numbers_find_the_live_upsets_once(monkeypatch):
+    """A hocolim complex's face counts, dimension and cells all read its
+    live elements and their up-sets, which it finds once."""
+    calls = []
+    original = diagrams._live_upsets
+
+    def live_upsets(space_at, covers):
+        calls.append(space_at)
+        return original(space_at, covers)
+
+    monkeypatch.setattr(diagrams, "_live_upsets", live_upsets)
+    d = InclusionDiagram(chain_poset(3), {0: sphere(1), 1: sphere(0), 2: SimplicialComplex.empty()})
+    hc = hocolim(d).complex
+    assert hc.face_counts() == SimplicialComplex.face_counts(hc) and hc.dim == 1
+    assert reduced_betti(hc) == bv({1: 1})
+    assert len(calls) == 1
+
+
 def test_hocolim_empty_diagram():
     d = InclusionDiagram(FinitePoset([], []), {})
     assert hocolim(d).complex.is_empty
