@@ -26,6 +26,7 @@ from .complexes import (
     compose_matrices,
     homology_map,
     reduced_betti,
+    refuse_oversized_join,
     sphere,
 )
 from .diagrams import colim, hocolim
@@ -34,7 +35,6 @@ from .engstrom import (
     Immersion,
     arrangement_matches_lattice,
     build_representation,
-    canonical_immersion,
     check_equivariance,
     expected_betti,
     immersed,
@@ -111,7 +111,9 @@ def _printed_apart(labels: list, what: str) -> list:
     return labels
 
 
-def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
+def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | int | None]:
+    """The matroid of a document, and the immersion it lists, or else its
+    rho alone, which selects the canonical immersion, or else None."""
     if "elements" not in doc:
         raise InputError("matroid document needs an 'elements' field")
     elements = _printed_apart(_labels(doc["elements"], "'elements'"), "'elements'")
@@ -133,7 +135,9 @@ def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
     if rho is not None and type(rho) is not int:
         raise InputError("'rho' must be an integer")
     if "immersion" not in doc:
-        return matroid, None if rho is None else canonical_immersion(matroid, rho)
+        if rho is not None and rho < matroid.rank_total:
+            raise InputError(f"need rho >= {matroid.rank_total}")
+        return matroid, rho
     if rho is None:
         raise InputError("an immersion needs an explicit 'rho'")
     mapping = {}
@@ -143,7 +147,10 @@ def matroid_from_doc(doc: dict) -> tuple[Matroid, Immersion | None]:
         bits = _list(entry["bits"], "'bits'")
         if any(type(b) is not int for b in bits):
             raise InputError("'bits' must hold only integers")
-        mapping[frozenset(_labels(entry["flat"], "'flat'"))] = frozenset(bits)
+        flat = frozenset(_labels(entry["flat"], "'flat'"))
+        if flat in mapping:
+            raise InputError(f"the immersion lists the flat {sort_labels(flat)} twice")
+        mapping[flat] = frozenset(bits)
     return matroid, Immersion.from_dict(matroid, rho, mapping)
 
 
@@ -157,7 +164,7 @@ def matroid_to_doc(matroid: Matroid, name: str) -> dict:
     }
 
 
-def resolve_matroid(name_or_path: str) -> tuple[Matroid, Immersion | None]:
+def resolve_matroid(name_or_path: str) -> tuple[Matroid, Immersion | int | None]:
     """A builtin catalog name, or a path to a matroid document."""
     try:
         return catalog.catalog_matroid(name_or_path), None
@@ -296,12 +303,14 @@ def cmd_check_map(args, started) -> int:
 
 
 def cmd_represent(args, started) -> int:
-    matroid, doc_immersion = resolve_matroid(args.matroid)
+    matroid, chosen = resolve_matroid(args.matroid)
     template = resolve_complex(args.template)
-    if doc_immersion is not None and args.rho is None:
-        im = ImmersedMatroid(matroid, doc_immersion)
-    else:
-        im = immersed(matroid, args.rho)
+    listed = isinstance(chosen, Immersion) and args.rho is None
+    rho = chosen.rho if listed else next(r for r in (args.rho, chosen, matroid.rank_total) if r is not None)
+    # the bottom flat carries the join of rho copies of the template, so an
+    # oversized rho is refused before any immersion is built
+    refuse_oversized_join(template, rho)
+    im = ImmersedMatroid(matroid, chosen) if listed else immersed(matroid, rho)
     rep = build_representation(im, template)
     constructed = reduced_betti(rep.T)
     expected = expected_betti(im, template)

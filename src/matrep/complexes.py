@@ -122,7 +122,7 @@ class SimplicialComplex:
             for f in self._facets:
                 if 2 ** len(f) - 1 > MAX_SIMPLICES:
                     raise ValueError(
-                        f"a facet of {len(f)} vertices has {2 ** len(f) - 1} faces, over the budget {MAX_SIMPLICES}"
+                        f"a facet of {len(f)} vertices has {_power_less_one(2, len(f))} faces, over the budget {MAX_SIMPLICES}"
                     )
                 ranks = sorted(map(rank.__getitem__, f))
                 for k in range(1, len(f) + 1):
@@ -187,23 +187,23 @@ class SimplicialComplex:
 
 
 def _maximal_faces(faces) -> frozenset:
+    """The inclusion-maximal nonempty faces among ``faces``.
+
+    Two distinct faces of one size never contain each other, so the faces
+    are taken by size, largest first, and each is tested only against the
+    larger faces kept that hold its vertex in the fewest of them; a size's
+    faces join that index once all of them are tested.
+    """
     cleaned = {frozenset(f) for f in faces} - {frozenset()}
-    ordered = sorted(cleaned, key=len, reverse=True)
-    accepted: list[frozenset] = []
-    containing: dict[object, list[int]] = {}
-    for f in ordered:
-        best = None
-        for v in f:
-            lst = containing.get(v, [])
-            if best is None or len(lst) < len(best):
-                best = lst
-        if best and any(f <= accepted[i] for i in best):
-            continue
-        idx = len(accepted)
-        accepted.append(f)
-        for v in f:
-            containing.setdefault(v, []).append(idx)
-    return frozenset(accepted)
+    maximal = []
+    containing = {}  # vertex -> the faces kept so far that hold it
+    for _, group in itertools.groupby(sorted(cleaned, key=len, reverse=True), key=len):
+        kept = [f for f in group if not any(f <= g for g in min((containing.get(v, ()) for v in f), key=len))]
+        for f in kept:
+            for v in f:
+                containing.setdefault(v, []).append(f)
+        maximal.extend(kept)
+    return frozenset(maximal)
 
 
 def sphere(d: int) -> SimplicialComplex:
@@ -227,14 +227,31 @@ def copies_complex(x: SimplicialComplex, indices) -> SimplicialComplex:
     idx = sorted(set(indices))
     if not idx or x.is_empty:
         return SimplicialComplex.empty()
-    count = sum(map(len, x._ranked().values())) ** len(idx) - 1
-    if count > MAX_SIMPLICES:
-        raise ValueError(f"a join of {len(idx)} copies has {count} simplices, over the budget {MAX_SIMPLICES}")
+    refuse_oversized_join(x, len(idx))
     facets = []
     for choice in itertools.product(x.facets, repeat=len(idx)):
         facets.append(frozenset((i, v) for i, f in zip(idx, choice) for v in f))
     # joins of facets of disjoint copies are maximal and distinct
     return SimplicialComplex._known(facets, [(i, v) for i in idx for v in x._vertex_order()])
+
+
+def refuse_oversized_join(x: SimplicialComplex, copies: int) -> None:
+    """Refuse a join of ``copies`` copies of x with more than
+    ``MAX_SIMPLICES`` nonempty simplices, counted and not listed: each
+    simplex picks a face of each copy, the empty one included."""
+    faces = sum(map(len, x._ranked().values()))
+    # past the budget's bit length a nonempty x, with two faces or more,
+    # is over it, so the power is never computed in full
+    if faces ** min(copies, MAX_SIMPLICES.bit_length() + 1) - 1 > MAX_SIMPLICES:
+        raise ValueError(
+            f"a join of {copies} copies has {_power_less_one(faces, copies)} simplices, over the budget {MAX_SIMPLICES}"
+        )
+
+
+def _power_less_one(base: int, n: int) -> str:
+    """base^n - 1 in full, or as the power when it has thousands of digits,
+    which would take long to compute and which ``str`` refuses to print."""
+    return f"{base}^{n} - 1" if n * base.bit_length() > 12_000 else str(base**n - 1)
 
 
 class BettiVector:

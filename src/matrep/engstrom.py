@@ -100,17 +100,20 @@ def validate_immersion(immersion: Immersion):
     """
     lat = immersion.matroid.lattice()
     mapping = immersion.as_dict()
-    universe = frozenset(range(1, immersion.rho + 1))
+    rho = immersion.rho
     for f in lat.flats:
         if f not in mapping:
             return False, f"no value at flat {sort_labels(f)}"
-        if not mapping[f] <= universe:
-            return False, f"value at {sort_labels(f)} leaves 1..{immersion.rho}"
-        if len(mapping[f]) != immersion.rho - lat.rank_of[f]:
+        if not all(isinstance(b, int) and 1 <= b <= rho for b in mapping[f]):
+            return False, f"value at {sort_labels(f)} leaves 1..{rho}"
+        if len(mapping[f]) != rho - lat.rank_of[f]:
             return False, f"rank reversal fails at {sort_labels(f)}"
     for p, q in lat.covers():
         if not mapping[q] <= mapping[p]:
             return False, f"order reversal fails at {sort_labels(p)} < {sort_labels(q)}"
+    stray = sort_labels(mapping.keys() - set(lat.flats))
+    if stray:
+        return False, f"value at {sort_labels(stray[0])}, which is not a flat"
     return True, None
 
 

@@ -524,9 +524,4 @@ def surjection_rank_witness(f: SetMap, flat) -> frozenset:
     for y in basis:
         pre = sort_labels(e for e in f.source.elements if f(e) == y)
         lifted.append(pre[0])
-    witness = f.source.closure(lifted)
-    if f.source.rank(witness) != tgt.rank(flat):
-        raise MatroidError("rank witness failed; map is not surjective weak")
-    if tgt.closure(f.image_set(witness)) != flat:
-        raise MatroidError("rank witness failed; map is not surjective weak")
-    return witness
+    return f.source.closure(lifted)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -73,6 +76,68 @@ def test_oversized_complexes_are_refused_before_their_simplices(tmp_path, monkey
     assert time.perf_counter() - started < 1
     assert code == 3 and report is None
     assert str(count) in run_cli.last_err and str(MAX_SIMPLICES) in run_cli.last_err
+
+
+U23_IMMERSION = [
+    {"flat": [], "bits": [1, 2]},
+    {"flat": ["1"], "bits": [1]},
+    {"flat": ["2"], "bits": [1]},
+    {"flat": ["3"], "bits": [1]},
+    {"flat": ["1", "2", "3"], "bits": []},
+]
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [({"flat": ["1"], "bits": [2]}, "lists the flat ['1'] twice"), ({"flat": ["1", "2"], "bits": [7]}, "['1', '2'], which is not a flat")],
+    ids=["repeated-flat", "non-flat"],
+)
+def test_immersion_documents_are_checked_entry_by_entry(tmp_path, capsys, entry, named):
+    # a second value at a flat would silently win, and one at a non-flat
+    # would never be read
+    path = tmp_path / "u23.json"
+    bases = [["1", "2"], ["1", "3"], ["2", "3"]]
+    path.write_text(json.dumps({"elements": ["1", "2", "3"], "bases": bases, "rho": 2, "immersion": U23_IMMERSION + [entry]}))
+    code, report = run_cli(capsys, "represent", str(path), "S0")
+    assert code == 3 and report is None
+    assert named in run_cli.last_err
+
+
+@pytest.mark.parametrize(
+    "command, code, size",
+    [
+        (["represent", "U2,3", "S0", "--rho", "100000000"], 3, "3^100000000 - 1"),
+        (["represent", "U2,3", "S0", "--rho", "1000000"], 3, "3^1000000 - 1"),
+        (["represent", "rho.json", "S0"], 3, "3^100000000 - 1"),
+        (["info", "rho.json"], 0, None),
+        (["betti", "facet.json"], 3, "2^20000 - 1"),
+    ],
+    ids=["rho-1e8", "rho-1e6", "document-rho-represent", "document-rho-info", "20000-vertex-facet"],
+)
+def test_oversized_rho_and_facets_fail_cleanly_in_bounded_memory(tmp_path, command, code, size):
+    """Under a 2 GB address-space limit, a rho whose join of copies is over
+    the budget is refused before any immersion is built, info never builds
+    one, and counts too long to print are named as powers."""
+    resource = pytest.importorskip("resource")
+    bases = [["1", "2"], ["1", "3"], ["2", "3"]]
+    (tmp_path / "rho.json").write_text(json.dumps({"elements": ["1", "2", "3"], "bases": bases, "rho": 100_000_000}))
+    (tmp_path / "facet.json").write_text(json.dumps({"facets": [list(range(20_000))]}))
+    limit = 2 * 1024**3
+
+    started = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "matrep.cli", *command],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - started < 1
+    assert run.returncode == code, run.stderr
+    if size is not None:
+        assert size in run.stderr and str(MAX_SIMPLICES) in run.stderr
 
 
 def test_the_simplex_budget_admits_the_export_of_u45_s1():

@@ -368,6 +368,23 @@ def test_label_formatter_keeps_ints_and_bools_apart():
         format_label(True)
 
 
+@st.composite
+def face_lists(draw):
+    """Faces of mixed sizes on a few vertices, in any order, with faces of
+    some of them mixed in: the whole face again, the empty face or a part."""
+    faces = draw(st.lists(st.frozensets(st.integers(0, 7), max_size=5), min_size=1, max_size=10))
+    parts = draw(st.lists(st.tuples(st.sampled_from(faces), st.integers(0, 31)), max_size=8))
+    faces += [frozenset(v for i, v in enumerate(sorted(f)) if mask >> i & 1) for f, mask in parts]
+    return draw(st.permutations(faces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(faces=face_lists())
+def test_facets_are_the_maximal_faces(faces):
+    maximal = {f for f in faces if f and not any(f < g for g in faces)}
+    assert SimplicialComplex(faces).facets == maximal
+
+
 NESTED_LABELS = st.recursive(
     st.integers() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),

@@ -105,6 +105,20 @@ def test_validate_immersion():
     assert not not_ok and "rank reversal" in why
 
 
+def test_validate_immersion_refuses_a_value_at_a_non_flat():
+    """Every flat's value is checked first, so a stray value is named only
+    when the flats' values are all valid."""
+    from matrep.engstrom import Immersion
+
+    m = uniform(2, 3)
+    values = canonical_immersion(m, 2).as_dict()
+    stray = Immersion.from_dict(m, 2, {**values, frozenset({1, 2}): frozenset({7})})
+    assert validate_immersion(stray) == (False, "value at [1, 2], which is not a flat")
+    values[frozenset({1})] = frozenset({1, 2})
+    ok, why = validate_immersion(Immersion.from_dict(m, 2, {**values, frozenset({1, 2}): frozenset()}))
+    assert not ok and "rank reversal" in why
+
+
 def test_immersed_matroid_validates():
     from matrep.engstrom import Immersion
 

@@ -459,13 +459,15 @@ def test_classify_map_examples():
     assert cls0.is_weak and not cls0.is_non_annihilating
 
 
+SMALL_PAIRS = [
+    (uniform(2, 2), uniform(1, 2)),
+    (uniform(2, 3), uniform(2, 2)),
+    (uniform(1, 2), uniform(2, 3)),
+]
+
+
 def test_weak_characterizations_agree_exhaustively():
-    pairs = [
-        (uniform(2, 2), uniform(1, 2)),
-        (uniform(2, 3), uniform(2, 2)),
-        (uniform(1, 2), uniform(2, 3)),
-    ]
-    for src, tgt in pairs:
+    for src, tgt in SMALL_PAIRS:
         for setmap in all_set_maps(src, tgt):
             weak = weak_by_definition(setmap)
             assert classify_map(setmap).is_weak == weak
@@ -561,11 +563,18 @@ def test_surjection_rank_witness():
 
 
 def test_surjection_rank_witness_all_flats():
+    """The witness is a source flat of the target flat's rank whose image
+    closes to it, for the chain maps and for every surjective weak map of
+    the exhaustive small pairs; nothing re-checks this at run time."""
     m, n, l = rank3_chain()
-    for src, tgt in [(m, n), (n, l)]:
-        f = identity_map(src, tgt)
+    maps = [identity_map(m, n), identity_map(n, l)]
+    for src, tgt in SMALL_PAIRS:
+        maps.extend(f for f in all_set_maps(src, tgt) if classify_map(f).is_weak and classify_map(f).is_surjective)
+    assert len(maps) > 2
+    for f in maps:
         fm = induced_flat_map(f)
-        for flat in tgt.lattice().flats:
+        for flat in f.target.lattice().flats:
             w = surjection_rank_witness(f, flat)
+            assert f.source.closure(w) == w
             assert fm(w) == flat
-            assert src.rank(w) == tgt.rank(flat)
+            assert f.source.rank(w) == f.target.rank(flat)
