@@ -506,6 +506,8 @@ def surjection_rank_witness(f: SetMap, flat) -> frozenset:
 
     Greedily picks the lexicographically smallest maximal independent subset
     of the target flat and closes its (lexicographically smallest) preimage.
+    A weak map raises no rank, so that preimage is independent, its closure
+    has the flat's rank, and the closure's image closes to the flat.
     """
     cls = classify_map(f)
     if not cls.is_weak:
