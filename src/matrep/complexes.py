@@ -197,8 +197,9 @@ def _maximal_faces(faces) -> frozenset:
     cleaned = {frozenset(f) for f in faces} - {frozenset()}
     maximal = []
     containing = {}  # vertex -> the faces kept so far that hold it
+    none = itertools.repeat(())
     for _, group in itertools.groupby(sorted(cleaned, key=len, reverse=True), key=len):
-        kept = [f for f in group if not any(f <= g for g in min((containing.get(v, ()) for v in f), key=len))]
+        kept = [f for f in group if not any(map(f.issubset, min(map(containing.get, f, none), key=len)))]
         for f in kept:
             for v in f:
                 containing.setdefault(v, []).append(f)

@@ -101,19 +101,21 @@ def validate_immersion(immersion: Immersion):
     lat = immersion.matroid.lattice()
     mapping = immersion.as_dict()
     rho = immersion.rho
+    # the bits outside 1..rho, found without listing 1..rho
+    outside = {b for b in frozenset().union(*mapping.values()) if not (isinstance(b, int) and 1 <= b <= rho)}
     for f in lat.flats:
         if f not in mapping:
             return False, f"no value at flat {sort_labels(f)}"
-        if not all(isinstance(b, int) and 1 <= b <= rho for b in mapping[f]):
+        if not outside.isdisjoint(mapping[f]):
             return False, f"value at {sort_labels(f)} leaves 1..{rho}"
         if len(mapping[f]) != rho - lat.rank_of[f]:
             return False, f"rank reversal fails at {sort_labels(f)}"
     for p, q in lat.covers():
         if not mapping[q] <= mapping[p]:
             return False, f"order reversal fails at {sort_labels(p)} < {sort_labels(q)}"
-    stray = sort_labels(mapping.keys() - set(lat.flats))
-    if stray:
-        return False, f"value at {sort_labels(stray[0])}, which is not a flat"
+    if len(mapping) > len(lat.flats):  # every flat has a value, so some key is no flat
+        stray = sort_labels(mapping.keys() - set(lat.flats))[0]
+        return False, f"value at {sort_labels(stray)}, which is not a flat"
     return True, None
 
 
