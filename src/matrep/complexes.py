@@ -197,9 +197,11 @@ def _maximal_faces(faces) -> frozenset:
     cleaned = {frozenset(f) for f in faces} - {frozenset()}
     maximal = []
     containing = {}  # vertex -> the faces kept so far that hold it
-    none = itertools.repeat(())
+    no_faces = itertools.repeat(())
     for _, group in itertools.groupby(sorted(cleaned, key=len, reverse=True), key=len):
-        kept = [f for f in group if not any(map(f.issubset, min(map(containing.get, f, none), key=len)))]
+        kept = list(group)
+        if containing:  # else these are the largest faces, all maximal
+            kept = [f for f in kept if not any(map(f.issubset, min(map(containing.get, f, no_faces), key=len)))]
         for f in kept:
             for v in f:
                 containing.setdefault(v, []).append(f)
