@@ -24,9 +24,11 @@ Reduced Betti numbers come from one top-down column reduction with
 clearing of a complex's cells.  The cells of a plain complex are its
 simplices; a complex built as a hocolim (T, its up-set complexes, Y) has
 its prodsimplicial cell model from ``diagrams`` instead, with far fewer
-cells than it has simplices.  ``HomologyMap`` reduces its map's own model
-with tracked columns that give canonical homology bases: the simplices for
-a ``SimplicialMap``, the prodsimplicial cells for a map of hocolims.
+cells than it has simplices, or, over a diagram with a least element, the
+simplices of that element's space.  ``HomologyMap`` reduces its map's own
+model with tracked columns that give canonical homology bases: the
+simplices for a ``SimplicialMap``, the cells of each end for a map of
+hocolims.
 """
 
 from __future__ import annotations
@@ -460,7 +462,7 @@ class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
     The map's own model is reduced with tracking: simplices for a
-    ``SimplicialMap``, prodsimplicial cells for a map of hocolims
+    ``SimplicialMap``, each end's cells for a map of hocolims
     (``diagrams.HocolimMap``); the map says which through ``_chain_map``.
     Entries are the kernel's exact values: ints, or ``Fraction``s where a
     pivot is not +-1.  Bases are canonical per model, so matrices of

@@ -28,7 +28,10 @@ complex of cells (chain of elements, simplex of the space at its top),
 which has the same homotopy type and far fewer cells.  Every hocolim
 complex carries that model as its cells, built from the diagram's spaces
 and covers alone, and its Betti numbers are read there
-(``complexes.reduced_betti``).
+(``complexes.reduced_betti``).  When the diagram has a least element m
+with a nonempty space, as Y and every up-set complex of T do, the model
+collapses onto D(m) (``HocolimComplex._cells``), and the hocolim is read on
+D(m)'s simplices instead.
 
 Its faces are counted from the diagram too, so face counts, ``dim`` and
 ``is_empty`` build nothing.  Each simplex (p0, s0) < ... < (pj, sj) of the
@@ -39,8 +42,8 @@ the cells of the chains of j + 1 elements inside one, which depends only
 on the length of c and the size of t (``_hocolim_face_counts``).
 
 A diagram morphism induces a map of hocolims (``HocolimMap``) that acts
-on the prodsimplicial cells, so its homology map builds neither end's
-vertices or facets.
+on the cells of both ends, whichever model each has, so its homology map
+builds neither end's vertices or facets.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import functools
 import itertools
 import math
 
-from .complexes import SimplicialComplex, _sorted_with_sign, _tracked
+from .complexes import SimplicialComplex, _simplex_boundary, _sorted_with_sign, _tracked
 from .labels import format_label, sort_labels
 
 
@@ -305,10 +308,11 @@ class HocolimComplex(SimplicialComplex):
     the numbered elements labelled (p, simplex), in ``label_key`` order,
     and its facets the cover paths on the numbers, labelled; reading the
     vertices lists no facet.  Its export reads the numbers too.  Its face
-    counts and its cells (the diagram's prodsimplicial model) read the
-    spaces and the up-sets of the live elements alone, found once
-    (``_live_upsets``); the cells are kept once built, and a homology map
-    into or out of the complex keeps their tracked reduction too.
+    counts and its prodsimplicial model read the spaces and the up-sets of
+    the live elements alone, found once (``_live_upsets``).  Its cells are
+    that model, or the simplices of D(m) when a least live element m
+    exists (``_cells``); they are kept once built, and a homology map into
+    or out of the complex keeps their tracked reduction too.
     """
 
     def __init__(self, space_at, covers):
@@ -390,10 +394,37 @@ class HocolimComplex(SimplicialComplex):
         return f"HocolimComplex({self._face_counts.get(0, 0)} vertices, dimension {self.dim})"
 
     @functools.cached_property
+    def _least(self):
+        """The least live element, or None when there is none.
+
+        Live elements form a down-set, so a live element's lower covers are
+        live, and the live elements with no lower cover are the minimal
+        ones; when there is one, it is the least.
+        """
+        upper = {q for _, q in self._covers}
+        minimal = [p for p, space in self._space_at.items() if not space.is_empty and p not in upper]
+        return minimal[0] if len(minimal) == 1 else None
+
+    @functools.cached_property
     def _model(self) -> tuple:
         return _prodsimplicial_cells(self._space_at, *self._live)
 
     def _cells(self):
+        """The cells and their boundary: with a least live element m, the
+        simplices of D(m), and otherwise the prodsimplicial model.
+
+        Every space lies in D(m), so the cells over a simplex t are the
+        chains of the elements whose space holds t, a down-set that holds
+        m.  Pairing each chain without m with the chain that adds it
+        matches them all but the chain (m), fiber by fiber, and the fibers'
+        matchings glue into one acyclic matching (Kozlov, "Combinatorial
+        Algebraic Topology", 2008, 11.10).  Its critical cells ((m), t) have
+        the boundary (m) x (the boundary of t), so the Morse complex is
+        D(m)'s simplicial chain complex (Forman, "Morse theory for cell
+        complexes", 1998).
+        """
+        if self._least is not None:
+            return self._space_at[self._least]._ranked(), _simplex_boundary
         return self._model[0], _cell_boundary
 
     @functools.cached_property
@@ -638,25 +669,54 @@ class HocolimMap:
         self.components = components
 
     def _chain_map(self):
-        """The map on cells, in the form ``complexes.HomologyMap`` takes."""
-        live, vertex = self.source._live[0], self.source._model[1]
-        tgt_vertex = self.target._model[1]
-        number = {q: i for i, q in enumerate(self.target._live[0])}
-        g = [number[self.poset_map[p]] for p in live]
+        """The map on cells, in the form ``complexes.HomologyMap`` takes.
+
+        An end with a least live element m has D(m)'s simplices as its
+        cells (``HocolimComplex._cells``).  Out of such a source the map is
+        read on the cells ((m), s), onto which s -> ((m), s) includes D(m);
+        into such a target it is followed by the projection that sends
+        ((q), s) to s, with sign +1, and every longer chain to 0.  That
+        projection kills the cone pairs, undoes the inclusion, and is a
+        chain map: the two ends of an edge (q0, q1) x s meet s with
+        opposite signs.
+        """
+        source, target, least = self.source, self.target, self.source._least
+        if least is None:
+            live, label = source._live[0], list(source._model[1])
+        else:
+            live, label = [least], source._space_at[least]._vertex_order()
         f = [self.components[p] for p in live]
-        label = list(vertex)
+        if target._least is None:
+            number = {q: i for i, q in enumerate(target._live[0])}
+            g = [number[self.poset_map[p]] for p in live]
+            tgt_vertex = target._model[1]
 
-        def image(cell):
-            if not cell:  # the empty cell
-                return (), 1
-            c, t = cell
-            chain = tuple(g[i] for i in c)
-            if len(set(chain)) < len(chain):
-                return None
-            hit = _sorted_with_sign([tgt_vertex[f[c[-1]](label[v])] for v in t])
-            return None if hit is None else ((chain, hit[0]), hit[1])
+            def image(cell):
+                if not cell:  # the empty cell
+                    return (), 1
+                c, t = cell
+                chain = tuple(g[i] for i in c)
+                if len(set(chain)) < len(chain):
+                    return None
+                hit = _sorted_with_sign([tgt_vertex[f[c[-1]](label[v])] for v in t])
+                return None if hit is None else ((chain, hit[0]), hit[1])
 
-        ends = [(k._model[0], k._cell_reduction) for k in (self.source, self.target)]
+        else:
+            rank = target._space_at[target._least]._rank_of
+
+            def image(cell):
+                if not cell:  # the empty cell
+                    return (), 1
+                c, t = cell
+                return None if len(c) > 1 else _sorted_with_sign([rank[f[c[0]](label[v])] for v in t])
+
+        if least is not None:
+            on_cells = image
+
+            def image(s):  # s -> ((m), s)
+                return on_cells(((0,), s) if s else ())
+
+        ends = [(k._cells()[0], k._cell_reduction) for k in (source, target)]
         return ends[0], ends[1], image
 
 

@@ -189,7 +189,9 @@ class Representation:
     (``Hocolim.over_upset``).  Each vertex is a Grothendieck element (flat,
     simplex), so its flat is its first entry.  All of them are hocolims,
     built only as far as they are read, so their Betti numbers come from
-    their prodsimplicial cells and list no facet (``diagrams``).
+    their cells and list no facet (``diagrams``): T's prodsimplicial
+    model, and for Y and the up-set complexes, which have a least flat,
+    the simplices of its space.
     """
 
     def __init__(self, immersed: ImmersedMatroid, template: SimplicialComplex):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -1431,11 +1432,152 @@ def test_composite_flat_maps_are_homotopic_pair(monkeypatch, count_calls, refuse
     h2 = homology_map(induced_map(m2))
     assert h1.matrices == h2.matrices
     # each of the two Y's gets one tracked reduction, of its cells, which
-    # both maps read; no Grothendieck element is labelled (the fixture)
-    # and no Betti numbers are reduced apart from them
-    assert cellular == [] and tracked == [diagrams._cell_boundary] * 2
+    # both maps read; the bottom flat is each Y's least element, so its
+    # cells are the simplices of the bottom's space.  No Grothendieck
+    # element is labelled (the fixture) and no Betti numbers are reduced
+    # apart from them
+    assert cellular == [] and tracked == [complexes._simplex_boundary] * 2
     for end in ("source", "target"):
         assert getattr(h1.map, end) is getattr(h2.map, end)
+
+
+@st.composite
+def meet_diagrams(draw):
+    """An inclusion diagram over a meet-semilattice, as its spaces in poset
+    order, its covers, its order, its meet and its template x: the lattice
+    diagram of a ``column_immersions()`` draw, or a chain 0 < ... < k whose
+    spaces join at most three copies of S^0 or S^1, fewer up the chain."""
+    if draw(st.booleans()):
+        im, x = draw(column_immersions())
+        diagram = build_diagram(im, x)
+        spaces = {p: diagram.space(p) for p in diagram.poset.elements}
+        return spaces, diagram.poset.covers(), frozenset.issubset, frozenset.intersection, x
+    x = sphere(draw(st.sampled_from([0, 1])))
+    sizes = sorted(draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5)), reverse=True)
+    spaces = {i: copies_complex(x, range(1, n + 1)) for i, n in enumerate(sizes)}
+    return spaces, [(i, i + 1) for i in range(len(sizes) - 1)], int.__le__, min, x
+
+
+class UpsetHocolims:
+    """The hocolims of a ``meet_diagrams()`` diagram over its up-sets, one
+    complex per up-set, and its meet morphisms: p -> p meet f with the
+    copywise vertex map (i, v) -> (i, phi(v)) of x.  D(p) lies in D(p meet
+    f), and any vertex map of S^0 or S^1 to itself is simplicial, so each
+    is a diagram morphism."""
+
+    def __init__(self, family):
+        self.spaces, self.covers, self.leq, self.meet, self.x = family
+        self.top = functools.reduce(lambda p, q: q if self.leq(p, q) else p, self.spaces)
+        self._complexes = {}
+
+    def upset(self, generators) -> diagrams.HocolimComplex:
+        keep = frozenset(p for p in self.spaces if any(self.leq(q, p) for q in generators))
+        if keep not in self._complexes:
+            spaces = {p: space for p, space in self.spaces.items() if p in keep}
+            covers = [(p, q) for p, q in self.covers if p in keep and q in keep]
+            self._complexes[keep] = diagrams.HocolimComplex(spaces, covers)
+        return self._complexes[keep]
+
+    def map(self, source, target, f, phi) -> diagrams.HocolimMap:
+        poset_map = {p: self.meet(p, f) for p in source._space_at}
+        return diagrams.HocolimMap(source, target, poset_map, dict.fromkeys(poset_map, lambda v: (v[0], phi[v[1]])))
+
+
+def full_model(komplex) -> diagrams.HocolimComplex:
+    """The same hocolim read on its prodsimplicial model
+    (``_prodsimplicial_cells`` with ``_cell_boundary``) even when it has a
+    least element."""
+    full = diagrams.HocolimComplex(komplex._space_at, komplex._covers)
+    full._least = None
+    return full
+
+
+def assert_least_element_models_agree(hocolims, maps):
+    """Each map (source, target, f, phi) of ``hocolims`` has the Betti
+    numbers and the rank of every homology matrix that it has between the
+    full models, and the first two compose to the third on the models
+    that the complexes choose."""
+    fulls = {}
+    homology = []
+    for source, target, f, phi in maps:
+        h = homology_map(hocolims.map(source, target, f, phi))
+        ends = [fulls.setdefault(id(k), full_model(k)) for k in (source, target)]
+        oracle = homology_map(hocolims.map(*ends, f, phi))
+        assert (h.source_betti, h.target_betti) == (oracle.source_betti, oracle.target_betti)
+        assert reduced_betti(source) == reduced_betti(ends[0]) and reduced_betti(target) == reduced_betti(ends[1])
+        for k in set(h.matrices) | set(oracle.matrices):
+            assert rational_rank(h.matrix(k)) == rational_rank(oracle.matrix(k)), k
+        homology.append(h)
+    product = complexes.compose_matrices(homology[1], homology[0])
+    for k in set(homology[2].matrices) | set(product):
+        assert homology[2].matrices.get(k, []) == product.get(k, []), k
+
+
+@st.composite
+def composable_meet_maps(draw):
+    """Up-sets U, V, W of a ``meet_diagrams()`` diagram and meet morphisms
+    U -> V -> W and their composite U -> W, as ``UpsetHocolims`` and the
+    three maps (source, target, f, phi).  Each up-set is generated by the
+    image of the one before, up to two more elements and, half of the
+    time, the upper covers of the bottom; f is the top half of the time.
+    So ends with and without a least element both come up."""
+    hocolims = UpsetHocolims(draw(meet_diagrams()))
+    elements = list(hocolims.spaces)
+    vertices = hocolims.x._vertex_order()
+
+    def some(least, most):  # a random choice of elements, not biased to the first ones
+        return draw(st.permutations(elements))[: draw(st.integers(min_value=least, max_value=most))]
+
+    uppers = {q for _, q in hocolims.covers}
+    atoms = [q for p, q in hocolims.covers if p not in uppers]  # the upper covers of the bottom
+    complexes_, steps = [hocolims.upset(some(1, 2))], []
+    for _ in range(2):
+        f = draw(st.sampled_from(elements)) if draw(st.booleans()) else hocolims.top
+        phi = dict(zip(vertices, draw(st.lists(st.sampled_from(vertices), min_size=len(vertices), max_size=len(vertices)))))
+        complexes_.append(hocolims.upset([hocolims.meet(p, f) for p in complexes_[-1]._space_at] + some(0, 2) + draw(st.sampled_from([[], atoms]))))
+        steps.append((f, phi))
+    (f1, phi1), (f2, phi2) = steps
+    u, v, w = complexes_
+    composite = hocolims.meet(f1, f2), {a: phi2[phi1[a]] for a in vertices}
+    return hocolims, [(u, v, f1, phi1), (v, w, f2, phi2), (u, w, *composite)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=composable_meet_maps())
+def test_homology_maps_on_least_element_models_match_the_full_model(instance):
+    """Hocolims with a least live element are read on its space's
+    simplices, the others on their prodsimplicial cells.  Over random
+    up-sets U -> V -> W of lattices and chains, with random meet morphisms
+    between them, Betti numbers and homology ranks equal those of the full
+    models, and H(g2 g1) = H(g2) H(g1) on the chosen models."""
+    assert_least_element_models_agree(*instance)
+
+
+def test_least_element_models_cover_the_four_pairings():
+    """On U3,4 x S0, up(a) -> up({a, b}) -> T -> Y runs collapsed -> full
+    -> full -> collapsed, and up(a) -> Y and up(a) -> T close the four
+    pairings of collapsed and full ends.  The maps are inclusions, some
+    followed by the swap of S^0."""
+    im, x = immersed(uniform(3, 4)), sphere(0)
+    diagram = build_diagram(im, x)
+    hocolims = UpsetHocolims(({p: diagram.space(p) for p in diagram.poset.elements}, diagram.poset.covers(), frozenset.issubset, frozenset.intersection, x))
+    lat = im.matroid.lattice()
+    a, b = lat.atoms[:2]
+    up_a, up_ab, t, y = (hocolims.upset(g) for g in ([a], [a, b], lat.atoms, [lat.bottom]))
+    assert [k._least for k in (up_a, up_ab, t, y)] == [a, None, None, lat.bottom]
+    top, swap, same = lat.top, {0: 1, 1: 0}, {0: 0, 1: 1}
+    assert_least_element_models_agree(hocolims, [(up_a, up_ab, top, swap), (up_ab, t, top, same), (up_a, t, top, swap)])
+    assert_least_element_models_agree(hocolims, [(t, y, top, swap), (y, y, top, swap), (t, y, top, same)])
+    assert_least_element_models_agree(hocolims, [(up_a, t, top, same), (t, y, top, swap), (up_a, y, top, swap)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=column_immersions())
+def test_xarrangement_holds_on_random_immersions(instance):
+    """Y and the up-set complexes of random GF(2)/GF(3) matroids, under
+    permuted immersions, intersect like join powers of x."""
+    im, x = instance
+    assert verify_xarrangement(build_representation(im, x), x).all_pass
 
 
 def test_colim_agrees_with_hocolim_on_full_lattice_diagrams():
