@@ -33,6 +33,7 @@ from .diagrams import colim, hocolim
 from .engstrom import (
     ImmersedMatroid,
     Immersion,
+    InvalidImmersion,
     arrangement_matches_lattice,
     build_representation,
     check_equivariance,
@@ -68,13 +69,25 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: a document is a JSON object, not a {type(doc).__name__}")
     return doc
+
+
+def _write_json(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON with sorted keys; a path that
+    cannot be written is an input error that names it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
 
 
 def _read(path: str, parse):
@@ -281,8 +294,7 @@ def cmd_truncate(args, started) -> int:
     truncated = truncate(matroid, args.k)
     doc = matroid_to_doc(truncated, f"T^{args.k}({args.matroid})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+        _write_json(args.out, doc)
     results = {"rank": truncated.rank_total, "document": doc}
     _emit(_report(["truncate", args.matroid, str(args.k)], {"matroid": args.matroid}, results, started))
     return 0
@@ -310,13 +322,19 @@ def cmd_represent(args, started) -> int:
     # the bottom flat carries the join of rho copies of the template, so an
     # oversized rho is refused before any immersion is built
     refuse_oversized_join(template, rho)
-    im = ImmersedMatroid(matroid, chosen) if listed else immersed(matroid, rho)
+    if listed:
+        # a listed immersion is checked here, not while its document is read
+        try:
+            im = ImmersedMatroid(matroid, chosen)
+        except InvalidImmersion as exc:
+            raise InputError(f"{args.matroid}: {exc}") from exc
+    else:
+        im = immersed(matroid, rho)
     rep = build_representation(im, template)
     constructed = reduced_betti(rep.T)
     expected = expected_betti(im, template)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rep.T.to_doc(), fh, sort_keys=True, indent=2)
+        _write_json(args.out, rep.T.to_doc())
     results = {
         "rho": im.rho,
         "betti_constructed": constructed.to_doc(),
@@ -345,8 +363,7 @@ def cmd_betti(args, started) -> int:
 def cmd_export(args, started) -> int:
     matroid, _ = resolve_matroid(args.matroid)
     doc = matroid_to_doc(matroid, args.matroid)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+    _write_json(args.out, doc)
     _emit(_report(["export", args.matroid], {"matroid": args.matroid}, {"written": args.out}, started))
     return 0
 

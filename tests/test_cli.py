@@ -100,7 +100,7 @@ def test_immersion_documents_are_checked_entry_by_entry(tmp_path, capsys, entry,
     path.write_text(json.dumps({"elements": ["1", "2", "3"], "bases": bases, "rho": 2, "immersion": U23_IMMERSION + [entry]}))
     code, report = run_cli(capsys, "represent", str(path), "S0")
     assert code == 3 and report is None
-    assert named in run_cli.last_err
+    assert f"input error: {path}: " in run_cli.last_err and named in run_cli.last_err
 
 
 @pytest.mark.parametrize(
@@ -195,6 +195,33 @@ def test_malformed_document_exit_code(tmp_path, capsys):
     assert "line" in run_cli.last_err
     code, _ = run_cli(capsys, "info", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [["betti"], ["info"]], ids=["betti", "info"])
+def test_a_directory_is_refused_naming_it(tmp_path, capsys, command):
+    code, report = run_cli(capsys, *command, str(tmp_path))
+    assert code == 3 and report is None
+    assert f"input error: {tmp_path}: " in run_cli.last_err
+
+
+def test_a_document_not_in_utf8_is_refused_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"elements": ["\u00e9"], "bases": [["\u00e9"]]}'.encode("latin-1"))
+    code, report = run_cli(capsys, "info", str(path))
+    assert code == 3 and report is None
+    assert f"input error: {path}: not UTF-8" in run_cli.last_err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["represent", "U2,3", "S0"], ["export", "U2,3"], ["truncate", "U2,3", "1"]],
+    ids=["represent", "export", "truncate"],
+)
+def test_an_out_path_in_a_missing_directory_is_refused_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.json"
+    code, report = run_cli(capsys, *command, "--out", str(out))
+    assert code == 3 and report is None and not out.exists()
+    assert f"input error: {out}: " in run_cli.last_err
 
 
 MATROID_DOC = {"elements": ["1", "2"], "bases": [["1"], ["2"]]}
