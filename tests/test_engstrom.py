@@ -1,9 +1,11 @@
 import functools
 import gc
 import itertools
+import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1569,6 +1571,64 @@ def test_least_element_models_cover_the_four_pairings():
     assert_least_element_models_agree(hocolims, [(up_a, up_ab, top, swap), (up_ab, t, top, same), (up_a, t, top, swap)])
     assert_least_element_models_agree(hocolims, [(t, y, top, swap), (y, y, top, swap), (t, y, top, same)])
     assert_least_element_models_agree(hocolims, [(up_a, t, top, same), (t, y, top, swap), (up_a, y, top, swap)])
+
+
+HOMOLOGY_MATRICES = Path(__file__).resolve().parent / "data" / "homology_matrices.json"
+
+
+def pinned_homology_maps() -> dict:
+    """Name -> homology map, for the maps whose matrices
+    ``data/homology_matrices.json`` pins: the maps of
+    ``test_least_element_models_cover_the_four_pairings``, the catalog
+    chain funcM -> funcN -> funcL over S^0, the simplicial map of that
+    chain's first weak map on the order complexes, and a circle wrapped
+    twice around a triangle."""
+    im, x = immersed(uniform(3, 4)), sphere(0)
+    diagram = build_diagram(im, x)
+    hocolims = UpsetHocolims(({p: diagram.space(p) for p in diagram.poset.elements}, diagram.poset.covers(), frozenset.issubset, frozenset.intersection, x))
+    lat = im.matroid.lattice()
+    a, b = lat.atoms[:2]
+    ends = dict(zip(["up(a)", "up(a,b)", "T", "Y"], (hocolims.upset(g) for g in ([a], [a, b], lat.atoms, [lat.bottom]))))
+    swap, same = {0: 1, 1: 0}, {0: 0, 1: 1}
+    pairs = [
+        ("up(a)", "up(a,b)", swap), ("up(a,b)", "T", same), ("up(a)", "T", swap), ("up(a)", "T", same),
+        ("T", "Y", swap), ("T", "Y", same), ("Y", "Y", swap), ("up(a)", "Y", swap),
+    ]
+    maps = {}
+    for s, t, phi in pairs:
+        name = f"U3,4 x S0 {s} -> {t}{' swapped' if phi is swap else ''}"
+        maps[name] = homology_map(hocolims.map(ends[s], ends[t], lat.top, phi))
+    chain = dict(zip("MNL", rank3_chain()))
+    for s, t in ("MN", "NL", "ML"):
+        tau, im_s, im_t = identity_map(chain[s], chain[t]), immersed(chain[s]), immersed(chain[t])
+        maps[f"func{s} -> func{t} x S0"] = homology_map(induced_representation_map(tau, im_s, im_t, x))
+    tau = identity_map(chain["M"], chain["N"])
+    ims = immersed(chain["M"]), immersed(chain["N"])
+    maps["funcM -> funcN x S0 on order complexes"] = homology_map(induced_map_by_morphism(tau, *ims, x, x, SimplicialMap.identity(x)))
+    hexagon = SimplicialComplex((i, (i + 1) % 6) for i in range(6))
+    maps["hexagon wrapped twice on a triangle"] = homology_map(SimplicialMap(hexagon, sphere(1), {i: i % 3 for i in range(6)}))
+    return maps
+
+
+def homology_doc(h) -> dict:
+    """A homology map's Betti numbers and matrices, each entry as the
+    string of its exact value (an int or a ``Fraction``)."""
+    return {
+        "source_betti": h.source_betti.to_doc(),
+        "target_betti": h.target_betti.to_doc(),
+        "matrices": {str(k): [[str(v) for v in row] for row in m] for k, m in sorted(h.matrices.items())},
+    }
+
+
+def test_homology_matrices_equal_their_pins():
+    """Homology bases are canonical per model, so the matrices of these
+    maps are fixed entry by entry; the pins were written by
+    ``homology_doc`` before homology maps read one chain-model value, and
+    a change that moves a basis or an entry fails here."""
+    pins = json.loads(HOMOLOGY_MATRICES.read_text())
+    docs = {name: homology_doc(h) for name, h in pinned_homology_maps().items()}
+    assert docs == pins
+    assert any(len(row) > 1 for doc in docs.values() for m in doc["matrices"].values() for row in m)
 
 
 @settings(max_examples=60, deadline=None)
