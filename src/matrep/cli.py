@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 2 property violation, 3 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -80,12 +81,18 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _write_json(path: str, doc) -> None:
-    """Write ``doc`` to ``path`` as JSON with sorted keys; a path that
-    cannot be written is an input error that names it."""
+@contextlib.contextmanager
+def _json_out(path):
+    """A writer of one JSON document with sorted keys to ``path``, or None
+    without a path.  The file is opened on entry, so a path that cannot be
+    written is refused before the document is built; an ``OSError`` on it
+    is an input error that names it."""
+    if not path:
+        yield None
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            yield lambda doc: json.dump(doc, fh, sort_keys=True, indent=2)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
 
@@ -293,8 +300,9 @@ def cmd_truncate(args, started) -> int:
     matroid, _ = resolve_matroid(args.matroid)
     truncated = truncate(matroid, args.k)
     doc = matroid_to_doc(truncated, f"T^{args.k}({args.matroid})")
-    if args.out:
-        _write_json(args.out, doc)
+    with _json_out(args.out) as write:
+        if write:
+            write(doc)
     results = {"rank": truncated.rank_total, "document": doc}
     _emit(_report(["truncate", args.matroid, str(args.k)], {"matroid": args.matroid}, results, started))
     return 0
@@ -330,11 +338,12 @@ def cmd_represent(args, started) -> int:
             raise InputError(f"{args.matroid}: {exc}") from exc
     else:
         im = immersed(matroid, rho)
-    rep = build_representation(im, template)
-    constructed = reduced_betti(rep.T)
-    expected = expected_betti(im, template)
-    if args.out:
-        _write_json(args.out, rep.T.to_doc())
+    with _json_out(args.out) as write:
+        rep = build_representation(im, template)
+        constructed = reduced_betti(rep.T)
+        expected = expected_betti(im, template)
+        if write:
+            write(rep.T.to_doc())
     results = {
         "rho": im.rho,
         "betti_constructed": constructed.to_doc(),
@@ -363,7 +372,8 @@ def cmd_betti(args, started) -> int:
 def cmd_export(args, started) -> int:
     matroid, _ = resolve_matroid(args.matroid)
     doc = matroid_to_doc(matroid, args.matroid)
-    _write_json(args.out, doc)
+    with _json_out(args.out) as write:
+        write(doc)
     _emit(_report(["export", args.matroid], {"matroid": args.matroid}, {"written": args.out}, started))
     return 0
 

@@ -15,20 +15,23 @@ that table, and labels are put back only for callers that ask for them
 (``simplices_by_dim``).  A hocolim counts its faces, and reads its
 dimension off them, from its diagram instead, and lists no simplex; its
 vertices and facets are labelled from its numbered Grothendieck poset,
-and no poset of labels is built for it (``diagrams``).  Constructions that know their facets are maximal and
-their vertices sorted (order complexes of posets, joins of copies of a
-complex) hand both to a private constructor that keeps them as given, so
-they filter no facet list and key no vertex.
+and no poset of labels is built for it (``diagrams``).  Constructions
+that know their facets are maximal and their vertices sorted (joins of
+copies of a complex) hand both to a private constructor that keeps them
+as given, so they filter no facet list and key no vertex.
 
-Reduced Betti numbers come from one top-down column reduction with
-clearing of a complex's cells.  The cells of a plain complex are its
-simplices; a complex built as a hocolim (T, its up-set complexes, Y) has
-its prodsimplicial cell model from ``diagrams`` instead, with far fewer
-cells than it has simplices, or, over a diagram with a least element, the
-simplices of that element's space.  ``HomologyMap`` reduces its map's own
-model with tracked columns that give canonical homology bases: the
-simplices for a ``SimplicialMap``, the cells of each end for a map of
-hocolims.
+A chain model (``ChainModel``) is one value: cells per degree, their
+boundary, and a top-down column reduction with clearing made at most once
+untracked, for Betti numbers, and at most once tracked, for canonical
+homology bases.  Every complex keeps its simplices as one model
+(``_simplicial``).  Its Betti numbers are read on ``_cells()``: a plain
+complex's simplices, and for a hocolim (T, its up-set complexes, Y) its
+prodsimplicial cell model from ``diagrams``, with far fewer cells than it
+has simplices, or, over a diagram with a least element, that element's
+space's own simplicial model, which every complex read on that space
+shares, reductions included.  ``HomologyMap`` reads the tracked reduction
+of the models its map names: the simplices for a ``SimplicialMap``, each
+end's ``_cells()`` for a map of hocolims.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ class SimplicialComplex:
     _vertices = None
     _order = None
     _simplices = None
-    _reduction = None
-    _betti_numbers = None
 
     def __init__(self, facets=()):
         self._facets = _maximal_faces(facets)
@@ -138,11 +139,17 @@ class SimplicialComplex:
             self._simplices = by_dim
         return self._simplices
 
-    def _cells(self):
-        """The cells per degree and their boundary, in the form
-        ``_reduce_down`` takes: the simplices.  Hocolims replace them with
-        a smaller model of the same homotopy type (``diagrams``)."""
-        return self._ranked(), _simplex_boundary
+    @functools.cached_property
+    def _simplicial(self) -> "ChainModel":
+        """The simplices of ``_ranked()`` as a chain model, made once per
+        complex, so its reductions are made once too."""
+        return ChainModel(self._ranked(), _simplex_boundary)
+
+    def _cells(self) -> "ChainModel":
+        """The chain model its Betti numbers are read on: its simplices.
+        Hocolims replace them with a smaller model of the same homotopy
+        type (``diagrams``)."""
+        return self._simplicial
 
     def simplices_by_dim(self) -> dict:
         """Sorted simplices per dimension, as tuples of vertex labels;
@@ -355,34 +362,47 @@ def _reduce_down(cells: dict, boundary, track: bool) -> dict:
     return data
 
 
-def _tracked(cells: dict, boundary) -> dict:
-    """Degree -> (pivots, cycles) of the chain complex of ``_reduce_down``,
-    reduced with tracking.
+class ChainModel:
+    """A chain complex in the form ``_reduce_down`` takes, its ``cells``
+    and their ``boundary``, reduced at most once without tracking, for
+    its Betti numbers, and at most once with, for homology maps.
 
-    The k-cells whose columns reduce to zero and are not cleared index the
-    homology basis, and ``cycles`` maps each to its tracked column, a
-    representative cycle with entry 1 at that index.  Following the given
-    cell order makes the basis canonical: equal models get equal
-    representatives.
-
-    ``pivots`` holds the reduced (k+1)-columns and the representatives by
-    pivot, the latter tracked as themselves, so reducing a k-cycle against
-    it leaves minus its coordinates in the homology basis.
+    A complex's simplices are one model (``SimplicialComplex._simplicial``)
+    and a hocolim's prodsimplicial cells another; complexes read on one
+    shared space read its model, and so share its reductions.
     """
-    data = {}
-    for k, (above, cycles) in _reduce_down(cells, boundary, True).items():
-        table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
-        table.update((j, (z, {j: 1})) for j, z in cycles.items())
-        data[k] = (table, cycles)
-    return data
 
+    def __init__(self, cells: dict, boundary):
+        self.cells = cells
+        self.boundary = boundary
 
-def _reduction(komplex: SimplicialComplex) -> dict:
-    """The tracked reduction of the complex's simplices, computed once per
-    object."""
-    if komplex._reduction is None:
-        komplex._reduction = _tracked(komplex._ranked(), _simplex_boundary)
-    return komplex._reduction
+    @functools.cached_property
+    def betti(self) -> BettiVector:
+        """Exact reduced Betti numbers over the rationals, from one
+        untracked reduction; only ranks are kept, so there is no homology
+        basis."""
+        return _betti(_reduce_down(self.cells, self.boundary, False))
+
+    @functools.cached_property
+    def _tracked(self) -> dict:
+        """Degree -> (pivots, cycles) of the model reduced with tracking.
+
+        The k-cells whose columns reduce to zero and are not cleared index
+        the homology basis, and ``cycles`` maps each to its tracked column,
+        a representative cycle with entry 1 at that index.  Following the
+        given cell order makes the basis canonical: equal models get equal
+        representatives.
+
+        ``pivots`` holds the reduced (k+1)-columns and the representatives
+        by pivot, the latter tracked as themselves, so reducing a k-cycle
+        against it leaves minus its coordinates in the homology basis.
+        """
+        data = {}
+        for k, (above, cycles) in _reduce_down(self.cells, self.boundary, True).items():
+            table = {row: (column, _UNTRACKED) for row, (column, _) in above.items()}
+            table.update((j, (z, {j: 1})) for j, z in cycles.items())
+            data[k] = (table, cycles)
+        return data
 
 
 def _betti(reduction: dict) -> BettiVector:
@@ -390,12 +410,9 @@ def _betti(reduction: dict) -> BettiVector:
 
 
 def reduced_betti(komplex: SimplicialComplex) -> BettiVector:
-    """Exact reduced Betti numbers over the rationals, from one untracked
-    reduction of the complex's cells, computed once per object; only ranks
-    are kept, so there is no homology basis."""
-    if komplex._betti_numbers is None:
-        komplex._betti_numbers = _betti(_reduce_down(*komplex._cells(), track=False))
-    return komplex._betti_numbers
+    """Exact reduced Betti numbers over the rationals of the complex's
+    chain model (``_cells``), reduced once per model."""
+    return komplex._cells().betti
 
 
 class SimplicialMap:
@@ -429,17 +446,15 @@ class SimplicialMap:
 
     def _chain_map(self):
         """The map on simplices, in the form ``HomologyMap`` takes: the
-        simplices and tracked reduction of each end, and the image of a
-        source simplex as (target simplex, sign), or None when it is
-        degenerate."""
+        simplicial model of each end, and the image of a source simplex as
+        (target simplex, sign), or None when it is degenerate."""
         rank = self.target._rank_of
         image_rank = [rank[self.vertex_map[v]] for v in self.source._vertex_order()]
 
         def image(s):
             return _sorted_with_sign([image_rank[r] for r in s])
 
-        ends = [(k._ranked(), _reduction(k)) for k in (self.source, self.target)]
-        return ends[0], ends[1], image
+        return self.source._simplicial, self.target._simplicial, image
 
 
 def _sorted_with_sign(images):
@@ -461,9 +476,10 @@ def _rank(matrix) -> int:
 class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
-    The map's own model is reduced with tracking: simplices for a
-    ``SimplicialMap``, each end's cells for a map of hocolims
-    (``diagrams.HocolimMap``); the map says which through ``_chain_map``.
+    The chain model of each end is reduced with tracking, once per model:
+    simplices for a ``SimplicialMap``, each end's cells for a map of
+    hocolims (``diagrams.HocolimMap``); the map says which through
+    ``_chain_map``.
     Entries are the kernel's exact values: ints, or ``Fraction``s where a
     pivot is not +-1.  Bases are canonical per model, so matrices of
     different maps between the same complexes can be compared and
@@ -475,15 +491,17 @@ class HomologyMap:
 
     def __init__(self, f):
         self.map = f
-        (src_cells, src), (tgt_cells, tgt), image = f._chain_map()
+        source, target, image = f._chain_map()
+        image = functools.cache(image)  # representatives share cells
+        src, tgt = source._tracked, target._tracked
         self.source_betti = _betti(src)
         self.target_betti = _betti(tgt)
         self.matrices = {}
         for k in range(-1, max(max(src), max(tgt)) + 1):
             src_reps = src.get(k, ({}, {}))[1]
             pivots, tgt_reps = tgt.get(k, ({}, {}))
-            cells = list(src_cells[k]) if src_reps else ()
-            row = tgt_cells.get(k, {})
+            cells = list(source.cells[k]) if src_reps else ()
+            row = target.cells.get(k, {})
             cols = []
             for j in sorted(src_reps):
                 column = {}

@@ -1,4 +1,4 @@
-"""Posets, order complexes, and (homotopy) colimits of inclusion diagrams.
+"""Posets and (homotopy) colimits of inclusion diagrams.
 
 Only inclusion diagrams are supported: the complex at a larger poset
 element is a subcomplex of the complex at a smaller one, all structure maps
@@ -11,8 +11,8 @@ mapping-cylinder construction.
 
 A poset given by outside pairs is sorted by ``label_key`` and closed once;
 one whose covers its construction knows is handed over as them and builds
-its up-sets only if asked.  Order complexes are enumerated along covers,
-so no chain is cut or tested for maximality.
+its up-sets only if asked.  A hocolim's facets are enumerated along
+covers, so no chain is cut or tested for maximality.
 
 A hocolim complex numbers its Grothendieck poset once, elements in
 ``label_key`` order and covers as pairs of numbers
@@ -31,7 +31,8 @@ and covers alone, and its Betti numbers are read there
 (``complexes.reduced_betti``).  When the diagram has a least element m
 with a nonempty space, as Y and every up-set complex of T do, the model
 collapses onto D(m) (``HocolimComplex._cells``), and the hocolim is read on
-D(m)'s simplices instead.
+D(m)'s own simplicial model instead; the complexes that share that space
+share its model, so its Betti numbers are reduced once.
 
 Its faces are counted from the diagram too, so face counts, ``dim`` and
 ``is_empty`` build nothing.  Each simplex (p0, s0) < ... < (pj, sj) of the
@@ -41,9 +42,11 @@ chains that use every element of c and end at t.  So f_j is the sum over
 the cells of the chains of j + 1 elements inside one, which depends only
 on the length of c and the size of t (``_hocolim_face_counts``).
 
-A diagram morphism induces a map of hocolims (``HocolimMap``) that acts
-on the cells of both ends, whichever model each has, so its homology map
-builds neither end's vertices or facets.
+A diagram morphism induces a map of hocolims (``HocolimMap``) whose chain
+map is written once, on cells named as (chain of elements, vertex labels):
+each end names its cells so, whichever model it has
+(``HocolimComplex._terms``), and its homology map builds neither end's
+vertices or facets.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import functools
 import itertools
 import math
 
-from .complexes import SimplicialComplex, _simplex_boundary, _sorted_with_sign, _tracked
+from .complexes import ChainModel, SimplicialComplex, _sorted_with_sign
 from .labels import format_label, sort_labels
 
 
@@ -158,28 +161,13 @@ def _close(elements, relations):
     return up, covers
 
 
-def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """The complex of chains of the poset.
-
-    Its facets are the maximal chains, and a chain is maximal exactly when
-    it climbs by cover relations from a minimal element to a maximal one
-    (Bjorner, "Topological methods", 1995), so the facets are enumerated as
-    cover paths (``_cover_paths``) and no chain is tested for maximality.
-    The complex takes them as they are, and the poset's sorted elements as
-    its vertex order.
-    """
-    elements = poset.elements
-    number = {x: i for i, x in enumerate(elements)}
-    covers = [(number[a], number[b]) for a, b in poset.covers()]
-    facets = [frozenset(map(elements.__getitem__, path)) for path in _cover_paths(len(elements), covers)]
-    return SimplicialComplex._known(facets, elements)
-
-
 def _cover_paths(n, covers):
     """The maximal chains of the poset on 0, ..., n - 1 whose cover
     relation is the pairs of numbers ``covers``: the paths that climb by
     covers from an element with no lower cover to one with no upper cover,
-    each as a tuple of numbers."""
+    each as a tuple of numbers.  A chain is maximal exactly when it climbs
+    so (Bjorner, "Topological methods", 1995), so no chain is tested for
+    maximality."""
     upper = [[] for _ in range(n)]
     minimal = [True] * n
     for a, b in covers:
@@ -309,10 +297,10 @@ class HocolimComplex(SimplicialComplex):
     and its facets the cover paths on the numbers, labelled; reading the
     vertices lists no facet.  Its export reads the numbers too.  Its face
     counts and its prodsimplicial model read the spaces and the up-sets of
-    the live elements alone, found once (``_live_upsets``).  Its cells are
-    that model, or the simplices of D(m) when a least live element m
-    exists (``_cells``); they are kept once built, and a homology map into
-    or out of the complex keeps their tracked reduction too.
+    the live elements alone, found once (``_live_upsets``).  Its chain
+    model (``_cells``) is that model, or D(m)'s own simplicial model when a
+    least live element m exists; a model keeps its reductions, so Betti
+    numbers and homology maps reduce it at most once each way.
     """
 
     def __init__(self, space_at, covers):
@@ -406,12 +394,14 @@ class HocolimComplex(SimplicialComplex):
         return minimal[0] if len(minimal) == 1 else None
 
     @functools.cached_property
-    def _model(self) -> tuple:
-        return _prodsimplicial_cells(self._space_at, *self._live)
+    def _prodsimplicial(self) -> tuple:
+        """The prodsimplicial model and its vertex -> number map."""
+        cells, vertex = _prodsimplicial_cells(self._space_at, *self._live)
+        return ChainModel(cells, _cell_boundary), vertex
 
-    def _cells(self):
-        """The cells and their boundary: with a least live element m, the
-        simplices of D(m), and otherwise the prodsimplicial model.
+    def _cells(self) -> ChainModel:
+        """Its chain model: with a least live element m, D(m)'s own
+        simplicial model, and otherwise the prodsimplicial model.
 
         Every space lies in D(m), so the cells over a simplex t are the
         chains of the elements whose space holds t, a down-set that holds
@@ -424,12 +414,50 @@ class HocolimComplex(SimplicialComplex):
         complexes", 1998).
         """
         if self._least is not None:
-            return self._space_at[self._least]._ranked(), _simplex_boundary
-        return self._model[0], _cell_boundary
+            return self._space_at[self._least]._simplicial
+        return self._prodsimplicial[0]
 
     @functools.cached_property
-    def _cell_reduction(self) -> dict:
-        return _tracked(*self._cells())
+    def _terms(self) -> tuple:
+        """Its cells named in the diagram's terms, a chain of elements and
+        the labels of a simplex's vertices, both ways: cell -> (chain,
+        labels), and (chain, labels) -> (cell, sign), or None when they
+        name no cell.
+
+        On the prodsimplicial model the elements must be distinct, and so
+        must the vertices, whose sorting gives the sign.  On D(m)'s
+        simplices a cell s is named ((m), s), and the lookup sends ((q), s)
+        to s with the sign of sorting s and every longer chain to 0.  That
+        projection kills the cone pairs of ``_cells``, undoes s -> ((m), s),
+        and is a chain map: the two ends of an edge (q0, q1) x s meet s
+        with opposite signs.
+        """
+        if self._least is None:
+            live, vertex = self._live[0], self._prodsimplicial[1]
+            label, number = list(vertex), {p: i for i, p in enumerate(live)}
+
+            def name(cell):
+                c, t = cell
+                return [live[i] for i in c], [label[v] for v in t]
+
+            def find(chain, labels):
+                c = tuple(map(number.__getitem__, chain))
+                if len(set(c)) < len(c):
+                    return None
+                hit = _sorted_with_sign([vertex[v] for v in labels])
+                return None if hit is None else ((c, hit[0]), hit[1])
+
+        else:
+            least, space = self._least, self._space_at[self._least]
+            label, rank = space._vertex_order(), space._rank_of
+
+            def name(s):
+                return [least], [label[r] for r in s]
+
+            def find(chain, labels):
+                return None if len(chain) > 1 else _sorted_with_sign([rank[v] for v in labels])
+
+        return name, find
 
 
 class Hocolim:
@@ -671,53 +699,22 @@ class HocolimMap:
     def _chain_map(self):
         """The map on cells, in the form ``complexes.HomologyMap`` takes.
 
-        An end with a least live element m has D(m)'s simplices as its
-        cells (``HocolimComplex._cells``).  Out of such a source the map is
-        read on the cells ((m), s), onto which s -> ((m), s) includes D(m);
-        into such a target it is followed by the projection that sends
-        ((q), s) to s, with sign +1, and every longer chain to 0.  That
-        projection kills the cone pairs, undoes the inclusion, and is a
-        chain map: the two ends of an edge (q0, q1) x s meet s with
-        opposite signs.
+        Each end names its cells as (chain of elements, vertex labels)
+        (``HocolimComplex._terms``), whichever model it has.  A source cell
+        named (c, t) goes to the target cell named (g(c), f(t)), f the
+        component at the top of c, with the sign of finding it, or to 0
+        when the target names no such cell.
         """
-        source, target, least = self.source, self.target, self.source._least
-        if least is None:
-            live, label = source._live[0], list(source._model[1])
-        else:
-            live, label = [least], source._space_at[least]._vertex_order()
-        f = [self.components[p] for p in live]
-        if target._least is None:
-            number = {q: i for i, q in enumerate(target._live[0])}
-            g = [number[self.poset_map[p]] for p in live]
-            tgt_vertex = target._model[1]
+        (name, _), (_, find) = self.source._terms, self.target._terms
+        g, f = self.poset_map, self.components
 
-            def image(cell):
-                if not cell:  # the empty cell
-                    return (), 1
-                c, t = cell
-                chain = tuple(g[i] for i in c)
-                if len(set(chain)) < len(chain):
-                    return None
-                hit = _sorted_with_sign([tgt_vertex[f[c[-1]](label[v])] for v in t])
-                return None if hit is None else ((chain, hit[0]), hit[1])
+        def image(cell):
+            if not cell:  # the empty cell
+                return (), 1
+            chain, labels = name(cell)
+            return find([g[p] for p in chain], map(f[chain[-1]], labels))
 
-        else:
-            rank = target._space_at[target._least]._rank_of
-
-            def image(cell):
-                if not cell:  # the empty cell
-                    return (), 1
-                c, t = cell
-                return None if len(c) > 1 else _sorted_with_sign([rank[f[c[0]](label[v])] for v in t])
-
-        if least is not None:
-            on_cells = image
-
-            def image(s):  # s -> ((m), s)
-                return on_cells(((0,), s) if s else ())
-
-        ends = [(k._cells()[0], k._cell_reduction) for k in (source, target)]
-        return ends[0], ends[1], image
+        return self.source._cells(), self.target._cells(), image
 
 
 def induced_map(morphism: DiagramMorphism) -> HocolimMap:

@@ -173,9 +173,6 @@ class Matroid(_RankTable):
             raise ExchangeFailure(f"exchange fails for {sort_labels(x)} and {sort_labels(y)}", witness=(x, y))
         return table
 
-    def is_independent(self, subset) -> bool:
-        return frozenset(subset) in self.independents
-
     def lattice(self) -> "GeometricLattice":
         if self._lattice is None:
             self._lattice = GeometricLattice(self)
@@ -499,31 +496,3 @@ def factor_through_truncation(f: SetMap):
     id_k = SetMap(f.source, truncated, {e: e for e in f.source.elements})
     tau_k = SetMap(truncated, f.target, dict(f.assignment))
     return id_k, tau_k
-
-
-def surjection_rank_witness(f: SetMap, flat) -> frozenset:
-    """A source flat over ``flat`` with equal rank, for surjective weak maps.
-
-    Greedily picks the lexicographically smallest maximal independent subset
-    of the target flat and closes its (lexicographically smallest) preimage.
-    A weak map raises no rank, so that preimage is independent, its closure
-    has the flat's rank, and the closure's image closes to the flat.
-    """
-    cls = classify_map(f)
-    if not cls.is_weak:
-        raise MatroidError("rank witnesses exist for weak maps")
-    if not cls.is_surjective:
-        raise NotSurjective("rank witnesses exist for surjective maps")
-    tgt = f.target
-    flat = frozenset(flat)
-    if tgt.closure(flat) != flat:
-        raise MatroidError(f"{sort_labels(flat)} is not a flat of the target")
-    basis = []
-    for y in sort_labels(flat):
-        if tgt.is_independent(frozenset(basis) | {y}):
-            basis.append(y)
-    lifted = []
-    for y in basis:
-        pre = sort_labels(e for e in f.source.elements if f(e) == y)
-        lifted.append(pre[0])
-    return f.source.closure(lifted)

@@ -25,7 +25,9 @@ and simplex membership through every face of every facet.
 The reference constructions below them (joins, disjoint unions, full
 subcomplexes, restricted posets and diagrams, composites of simplicial
 maps, the face diagram of a complex) build through the checking constructors what the library builds
-along known covers or as joins of copies.
+along known covers or as joins of copies.  Last come two constructions
+that only tests call, kept here with their tests: the order complex of a
+poset and the rank witness of a surjective weak map.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import itertools
 from fractions import Fraction
 
 from matrep.complexes import SimplicialComplex, SimplicialMap
-from matrep.diagrams import FinitePoset, InclusionDiagram
+from matrep.diagrams import FinitePoset, InclusionDiagram, _cover_paths
 from matrep.labels import label_key, sort_labels
-from matrep.matroid import ZERO
+from matrep.matroid import ZERO, MatroidError, NotSurjective, classify_map
 
 
 def brute_rank(matroid, subset) -> int:
@@ -232,7 +234,7 @@ def weak_by_definition(setmap) -> bool:
             images = [setmap(e) for e in combo]
             if ZERO in images or len(set(images)) < len(images):
                 continue
-            if frozenset(images) in tgt.independents and not src.is_independent(combo):
+            if frozenset(images) in tgt.independents and frozenset(combo) not in src.independents:
                 return False
     return True
 
@@ -552,3 +554,45 @@ def face_diagram(komplex):
     faces = sorted(nonempty_simplices(komplex), key=lambda s: (len(s), sorted(s)))
     poset = FinitePoset.from_leq(faces, lambda a, b: b <= a)
     return InclusionDiagram(poset, {f: SimplicialComplex([f]) for f in faces})
+
+
+def order_complex(poset: FinitePoset) -> SimplicialComplex:
+    """The complex of chains of the poset.
+
+    Its facets are the maximal chains, the cover paths (``_cover_paths``),
+    so no chain is tested for maximality.  The complex takes them as they
+    are, and the poset's sorted elements as its vertex order.
+    """
+    elements = poset.elements
+    number = {x: i for i, x in enumerate(elements)}
+    covers = [(number[a], number[b]) for a, b in poset.covers()]
+    facets = [frozenset(map(elements.__getitem__, path)) for path in _cover_paths(len(elements), covers)]
+    return SimplicialComplex._known(facets, elements)
+
+
+def surjection_rank_witness(f, flat) -> frozenset:
+    """A source flat over ``flat`` with equal rank, for surjective weak maps.
+
+    Greedily picks the lexicographically smallest maximal independent subset
+    of the target flat and closes its (lexicographically smallest) preimage.
+    A weak map raises no rank, so that preimage is independent, its closure
+    has the flat's rank, and the closure's image closes to the flat.
+    """
+    cls = classify_map(f)
+    if not cls.is_weak:
+        raise MatroidError("rank witnesses exist for weak maps")
+    if not cls.is_surjective:
+        raise NotSurjective("rank witnesses exist for surjective maps")
+    tgt = f.target
+    flat = frozenset(flat)
+    if tgt.closure(flat) != flat:
+        raise MatroidError(f"{sort_labels(flat)} is not a flat of the target")
+    basis = []
+    for y in sort_labels(flat):
+        if frozenset(basis) | {y} in tgt.independents:
+            basis.append(y)
+    lifted = []
+    for y in basis:
+        pre = sort_labels(e for e in f.source.elements if f(e) == y)
+        lifted.append(pre[0])
+    return f.source.closure(lifted)

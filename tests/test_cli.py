@@ -224,6 +224,17 @@ def test_an_out_path_in_a_missing_directory_is_refused_naming_it(tmp_path, capsy
     assert f"input error: {out}: " in run_cli.last_err
 
 
+def test_an_unwritable_out_path_is_refused_before_t_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        pytest.fail("built T for an --out path that cannot be written")
+
+    monkeypatch.setattr(cli, "build_representation", refuse)
+    out = tmp_path / "missing" / "T.json"
+    code, report = run_cli(capsys, "represent", "U4,5", "S1", "--out", str(out))
+    assert code == 3 and report is None and not out.exists()
+    assert f"input error: {out}: " in run_cli.last_err
+
+
 MATROID_DOC = {"elements": ["1", "2"], "bases": [["1"], ["2"]]}
 MAP_DOC = {"source": "U1,2", "target": "U1,2", "assignment": {"1": "2", "2": "1", "o": "o"}}
 

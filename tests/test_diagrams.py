@@ -27,7 +27,6 @@ from matrep.diagrams import (
     hocolim,
     homotopic_pair_check,
     induced_map,
-    order_complex,
 )
 from matrep.labels import sort_labels
 
@@ -40,6 +39,7 @@ from oracles import (
     grothendieck_poset_by_definition,
     hocolim_vertex_map,
     maximal_chains_by_brute_force,
+    order_complex,
     restrict_diagram,
     restrict_poset,
     simplices_by_definition,

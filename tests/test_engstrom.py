@@ -333,36 +333,37 @@ def test_construction_route_trusts_what_it_knows(monkeypatch):
     assert keyed and not rep.T.vertices.intersection(keyed)
 
 
-def count_reductions(monkeypatch, count_calls) -> tuple:
+def count_reductions(monkeypatch) -> tuple:
     """The reductions from here on, in order: the boundary function of each
     model reduced with tracking for a homology map, cells or simplices, and
-    the complexes whose Betti numbers ``reduced_betti`` reduces, untracked,
-    from their cells."""
-    tracked = []
-    original = complexes._tracked
+    the cells of each model reduced untracked for its Betti numbers."""
+    tracked, untracked = [], []
+    original = complexes._reduce_down
 
-    def counting(cells, boundary):
-        tracked.append(boundary)
-        return original(cells, boundary)
+    def counting(cells, boundary, track):
+        if track:
+            tracked.append(boundary)
+        else:
+            untracked.append(cells)
+        return original(cells, boundary, track)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "matrep" and getattr(module, "_tracked", None) is original:
-            monkeypatch.setattr(module, "_tracked", counting)
-    cellular = count_calls(complexes, "reduced_betti", lambda komplex: komplex._betti_numbers is None)
-    return tracked, cellular
+    monkeypatch.setattr(complexes, "_reduce_down", counting)
+    return tracked, untracked
 
 
-def test_expected_betti_reduces_only_the_template(monkeypatch, count_calls):
+def test_expected_betti_reduces_only_the_template(monkeypatch):
     x = sphere(1)
-    tracked, cellular = count_reductions(monkeypatch, count_calls)
+    tracked, untracked = count_reductions(monkeypatch)
     assert expected_betti(immersed(uniform(4, 5)), x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
     assert expected_betti(immersed(uniform(2, 3), rho=6), x) == bv({8: 2, 9: 3})
-    assert tracked == [] and cellular == [x]
+    assert tracked == [] and len(untracked) == 1 and untracked[0] is x._simplicial.cells
 
 
-def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
-    im, x = immersed(uniform(4, 5), rho=4), sphere(0)
-    rep = build_representation(im, x)
+def test_xarrangement_builds_each_upset_complex_once(monkeypatch):
+    """Y and every up-set complex have a least element, so each is read
+    on that element's space, and the complexes that share a space share
+    one model and one reduction of it: 6 reductions on U4,5 x S0 and on
+    U4,8 x S0 at rho = 4, where one per complex made 28 and 95."""
     original = Hocolim.over_upset
     built = []
 
@@ -371,15 +372,22 @@ def test_xarrangement_builds_each_upset_complex_once(monkeypatch, count_calls):
         return built[-1]
 
     monkeypatch.setattr(Hocolim, "over_upset", counting)
-    tracked, cellular = count_reductions(monkeypatch, count_calls)
-    assert verify_xarrangement(rep, x).all_pass
-    upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
-    # x, Y and each up-set complex once, the last two on their cell models;
-    # no tracked reduction
-    assert tracked == [] and cellular[0] is x
-    assert len(cellular) == len(set(map(id, cellular))) == len(upper_flats) + 2 == 28
-    assert len(built) == len(upper_flats)
-    assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
+    tracked, untracked = count_reductions(monkeypatch)
+    for n in (5, 8):
+        im, x = immersed(uniform(4, n), rho=4), sphere(0)
+        rep = build_representation(im, x)
+        for calls in (built, tracked, untracked):
+            calls.clear()
+        assert verify_xarrangement(rep, x).all_pass
+        upper_flats = [f for f in rep.lattice.flats if f != rep.lattice.bottom]
+        # x's simplices, then each distinct model of Y and the up-set
+        # complexes once, untracked
+        models = {id(k._cells().cells) for k in [rep.Y] + [rep.upset_complex(f) for f in upper_flats]}
+        assert tracked == [] and untracked[0] is x._simplicial.cells
+        assert len(untracked) == len(set(map(id, untracked))) == len(models) + 1 == 6
+        assert models == set(map(id, untracked[1:]))
+        assert len(built) == len(upper_flats)
+        assert {id(rep.upset_complex(f)) for f in upper_flats} == set(map(id, built))
 
 
 def test_u45_over_s1_betti_from_cells_under_a_second():
@@ -391,7 +399,7 @@ def test_u45_over_s1_betti_from_cells_under_a_second():
     betti = reduced_betti(rep.T)
     assert time.perf_counter() - start < 1.0
     assert betti == expected_betti(im, x) == bv({2: 4, 3: 10, 4: 10, 5: 5})
-    assert rep.T._simplices is None and rep.T._reduction is None
+    assert rep.T._simplices is None and "_simplicial" not in vars(rep.T)
     assert "_facets" not in vars(rep.T)
 
 
@@ -523,7 +531,8 @@ def column_immersions(draw):
 
 
 def assert_boundary_of_boundary_vanishes(komplex):
-    cells, boundary = komplex._cells()
+    model = komplex._cells()
+    cells, boundary = model.cells, model.boundary
     for k in range(max(cells), 0, -1):
         down = list(cells[k - 1])
         for cell in cells[k]:
@@ -546,21 +555,22 @@ def test_cellular_betti_equals_simplicial(instance):
     for komplex in [rep.T] + [rep.upset_complex(f) for f in lat.flats if f != lat.bottom]:
         assert_boundary_of_boundary_vanishes(komplex)
         cellular = reduced_betti(komplex)
-        assert komplex._reduction is None and komplex._simplices is None
-        assert cellular == complexes._betti(complexes._reduction(komplex))
+        assert "_simplicial" not in vars(komplex) and komplex._simplices is None
+        assert cellular == komplex._simplicial.betti
 
 
 def test_betti_numbers_after_a_homology_map_come_from_the_cells(monkeypatch):
-    """A homology map into T caches the tracked reduction of T's cells and
-    lists none of T's simplices; T's Betti numbers are reduced from the
-    same cells, untracked, once."""
+    """A homology map into T keeps the tracked reduction of T's cells on
+    their model and lists none of T's simplices; T's Betti numbers are
+    reduced from the same cells, untracked, once."""
     m, n, _ = rank3_chain()
     s0 = sphere(0)
     hm = homology_map(induced_representation_map(identity_map(m, n), immersed(m), immersed(n), s0))
     expected = expected_betti(immersed(n), s0)
     target = hm.map.target
-    assert "_cell_reduction" in vars(target) and target._betti_numbers is None
-    assert target._reduction is None and target._simplices is None
+    model = target._cells()
+    assert "_tracked" in vars(model) and "betti" not in vars(model)
+    assert "_simplicial" not in vars(target) and target._simplices is None
     read = []
     original = complexes._reduce_down
 
@@ -570,8 +580,8 @@ def test_betti_numbers_after_a_homology_map_come_from_the_cells(monkeypatch):
 
     monkeypatch.setattr(complexes, "_reduce_down", reduce_down)
     assert reduced_betti(target) == hm.target_betti == expected
-    assert reduced_betti(target) is target._betti_numbers
-    assert len(read) == 1 and read[0][0] is target._cells()[0]
+    assert reduced_betti(target) is model.betti
+    assert len(read) == 1 and read[0][0] is model.cells
     assert read[0][1:] == (diagrams._cell_boundary, False)
 
 
@@ -1310,8 +1320,9 @@ def test_xarrangement_report_minimal_rho():
 
 def test_xarrangement_builds_no_order_complex(monkeypatch):
     """verify_xarrangement reads the dimensions of Y and of the up-set
-    complexes off their face counts, so it builds no order complex and
-    reports what it reports when it may."""
+    complexes off their face counts, so it labels no hocolim's vertices or
+    facets, which would build its order complex, and reports what it
+    reports when it may."""
     instances = [(im, x) for _, im, x in representation_instances()]
     instances.append((immersed(uniform(4, 5), rho=4), sphere(0)))
 
@@ -1324,7 +1335,8 @@ def test_xarrangement_builds_no_order_complex(monkeypatch):
     def refuse(*args):
         pytest.fail("built an order complex")
 
-    monkeypatch.setattr(diagrams, "order_complex", refuse)
+    for name in ("_order", "_facets"):
+        monkeypatch.setattr(diagrams.HocolimComplex, name, property(refuse))
     assert [vars(report) for report in reports()] == [vars(report) for report in allowed]
 
 
@@ -1412,7 +1424,7 @@ def test_homology_maps_of_weak_maps_compose_on_cells(instance):
     assert homotopic_pair_check(direct, composed)
 
 
-def test_composite_flat_maps_are_homotopic_pair(monkeypatch, count_calls, refuse_to_build_t):
+def test_composite_flat_maps_are_homotopic_pair(monkeypatch, refuse_to_build_t):
     # the direct flat map of a composite sits below the composite of the
     # flat maps, so the two diagram morphisms induce homotopic maps; their
     # homology matrices must then be equal.  Both maps run between the same
@@ -1429,7 +1441,7 @@ def test_composite_flat_maps_are_homotopic_pair(monkeypatch, count_calls, refuse
     m1 = flat_map_morphism(d_m, d_l, direct)
     m2 = flat_map_morphism(d_m, d_l, composed)
     assert homotopic_pair_check(m1, m2)
-    tracked, cellular = count_reductions(monkeypatch, count_calls)
+    tracked, untracked = count_reductions(monkeypatch)
     h1 = homology_map(induced_map(m1))
     h2 = homology_map(induced_map(m2))
     assert h1.matrices == h2.matrices
@@ -1438,7 +1450,7 @@ def test_composite_flat_maps_are_homotopic_pair(monkeypatch, count_calls, refuse
     # cells are the simplices of the bottom's space.  No Grothendieck
     # element is labelled (the fixture) and no Betti numbers are reduced
     # apart from them
-    assert cellular == [] and tracked == [complexes._simplex_boundary] * 2
+    assert untracked == [] and tracked == [complexes._simplex_boundary] * 2
     for end in ("source", "target"):
         assert getattr(h1.map, end) is getattr(h2.map, end)
 

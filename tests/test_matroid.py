@@ -33,7 +33,6 @@ from matrep.matroid import (
     induced_flat_map,
     matroid_from_bases,
     matroid_from_flats,
-    surjection_rank_witness,
     truncate,
     uniform,
     whitney_first,
@@ -50,6 +49,7 @@ from oracles import (
     mobius_by_chain_counting,
     mobius_by_recursion,
     sorted_flats,
+    surjection_rank_witness,
     weak_by_definition,
 )
 
