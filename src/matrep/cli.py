@@ -85,16 +85,25 @@ def _load_json(path: str) -> dict:
 def _json_out(path):
     """A writer of one JSON document with sorted keys to ``path``, or None
     without a path.  The file is opened on entry, so a path that cannot be
-    written is refused before the document is built; an ``OSError`` on it
-    is an input error that names it."""
+    written is refused before the document is built; an ``OSError`` in
+    opening, writing or closing it is an input error that names it."""
     if not path:
         yield None
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield lambda doc: json.dump(doc, fh, sort_keys=True, indent=2)
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+
+    def write(doc):
+        try:
+            with fh:  # closed here, so a failed flush is caught too
+                json.dump(doc, fh, sort_keys=True, indent=2)
+        except OSError as exc:
+            raise InputError(f"{path}: {exc.strerror}") from exc
+
+    with fh:
+        yield write
 
 
 def _read(path: str, parse):

@@ -141,14 +141,12 @@ class SimplicialComplex:
 
     @functools.cached_property
     def _simplicial(self) -> "ChainModel":
-        """The simplices of ``_ranked()`` as a chain model, made once per
-        complex, so its reductions are made once too."""
+        """The simplices of ``_ranked()`` as one chain model."""
         return ChainModel(self._ranked(), _simplex_boundary)
 
     def _cells(self) -> "ChainModel":
-        """The chain model its Betti numbers are read on: its simplices.
-        Hocolims replace them with a smaller model of the same homotopy
-        type (``diagrams``)."""
+        """The chain model its Betti numbers are read on: its simplices,
+        which hocolims replace with a smaller model (``diagrams``)."""
         return self._simplicial
 
     def simplices_by_dim(self) -> dict:
@@ -365,12 +363,7 @@ def _reduce_down(cells: dict, boundary, track: bool) -> dict:
 class ChainModel:
     """A chain complex in the form ``_reduce_down`` takes, its ``cells``
     and their ``boundary``, reduced at most once without tracking, for
-    its Betti numbers, and at most once with, for homology maps.
-
-    A complex's simplices are one model (``SimplicialComplex._simplicial``)
-    and a hocolim's prodsimplicial cells another; complexes read on one
-    shared space read its model, and so share its reductions.
-    """
+    its Betti numbers, and at most once with, for homology maps."""
 
     def __init__(self, cells: dict, boundary):
         self.cells = cells
@@ -378,9 +371,8 @@ class ChainModel:
 
     @functools.cached_property
     def betti(self) -> BettiVector:
-        """Exact reduced Betti numbers over the rationals, from one
-        untracked reduction; only ranks are kept, so there is no homology
-        basis."""
+        """Exact reduced Betti numbers over the rationals; only ranks are
+        kept, so there is no homology basis."""
         return _betti(_reduce_down(self.cells, self.boundary, False))
 
     @functools.cached_property
@@ -476,10 +468,9 @@ def _rank(matrix) -> int:
 class HomologyMap:
     """Induced maps on reduced rational homology, one matrix per degree.
 
-    The chain model of each end is reduced with tracking, once per model:
-    simplices for a ``SimplicialMap``, each end's cells for a map of
-    hocolims (``diagrams.HocolimMap``); the map says which through
-    ``_chain_map``.
+    The chain model of each end is reduced with tracking: simplices for a
+    ``SimplicialMap``, each end's cells for a map of hocolims
+    (``diagrams.HocolimMap``); the map says which through ``_chain_map``.
     Entries are the kernel's exact values: ints, or ``Fraction``s where a
     pivot is not +-1.  Bases are canonical per model, so matrices of
     different maps between the same complexes can be compared and

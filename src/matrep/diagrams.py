@@ -419,18 +419,13 @@ class HocolimComplex(SimplicialComplex):
 
     @functools.cached_property
     def _terms(self) -> tuple:
-        """Its cells named in the diagram's terms, a chain of elements and
-        the labels of a simplex's vertices, both ways: cell -> (chain,
-        labels), and (chain, labels) -> (cell, sign), or None when they
-        name no cell.
-
-        On the prodsimplicial model the elements must be distinct, and so
-        must the vertices, whose sorting gives the sign.  On D(m)'s
-        simplices a cell s is named ((m), s), and the lookup sends ((q), s)
-        to s with the sign of sorting s and every longer chain to 0.  That
-        projection kills the cone pairs of ``_cells``, undoes s -> ((m), s),
-        and is a chain map: the two ends of an edge (q0, q1) x s meet s
-        with opposite signs.
+        """cell -> (chain of elements, vertex labels), and back: (chain,
+        labels) -> (cell, sign), or None when they name no cell, as when
+        an element or a vertex repeats.  On D(m)'s simplices s is named
+        ((m), s), and the lookup sends ((q), s) to s and longer chains to 0:
+        that projection kills the cone pairs of ``_cells``, undoes
+        s -> ((m), s), and is a chain map, since the two ends of an edge
+        (q0, q1) x s meet s with opposite signs.
         """
         if self._least is None:
             live, vertex = self._live[0], self._prodsimplicial[1]

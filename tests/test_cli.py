@@ -235,7 +235,16 @@ def test_an_unwritable_out_path_is_refused_before_t_is_built(tmp_path, capsys, m
     assert f"input error: {out}: " in run_cli.last_err
 
 
-MATROID_DOC = {"elements": ["1", "2"], "bases": [["1"], ["2"]]}
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
+def test_a_failed_write_is_refused_naming_the_path(capsys):
+    # the error surfaces when the written document is flushed, after the
+    # file was opened without one
+    code, report = run_cli(capsys, "export", "explicit", "--out", "/dev/full")
+    assert code == 3 and report is None
+    assert "input error: /dev/full: " in run_cli.last_err
+
+
+MATROID_DOC ={"elements": ["1", "2"], "bases": [["1"], ["2"]]}
 MAP_DOC = {"source": "U1,2", "target": "U1,2", "assignment": {"1": "2", "2": "1", "o": "o"}}
 
 
