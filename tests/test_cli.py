@@ -495,3 +495,50 @@ def test_verify_all_matches_golden(capsys):
     assert code == 0
     report.pop("timing_ms")
     assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden.read_text()
+
+
+IDENTITY_MAP_DOC = {"source": "funcM", "target": "funcN", "assignment": {"1": "1", "2": "2", "3": "3", "4": "4", "o": "o"}}
+
+# each command, run in order in one directory, with the files it writes
+PINNED_COMMANDS = [
+    (["info", "U3,4"], []),
+    (["lattice", "explicit"], []),
+    (["whitney", "funcL"], []),
+    (["truncate", "U3,4", "1", "--out", "t.json"], ["t.json"]),
+    (["check-map", "map.json"], []),
+    (["represent", "U2,4", "S0", "--out", "T.json"], ["T.json"]),
+    (["betti", "T.json"], []),
+    (["export", "explicit", "--out", "m.json"], ["m.json"]),
+    (["verify", "--mobius", "--functoriality"], []),
+    (["represent", "funcN", "S1"], []),
+    (["info", "U3,40"], []),
+]
+
+
+def pinned_reports(directory, capsys):
+    """Each pinned command's report without ``timing_ms``, its exit code,
+    its stderr and the sha256 of each file it writes, run in
+    ``directory`` so that echoed paths are relative.  Each report must be
+    printed as ``json.dumps(report, sort_keys=True, indent=2)``."""
+    (directory / "map.json").write_text(json.dumps(IDENTITY_MAP_DOC))
+    runs = []
+    for argv, written in PINNED_COMMANDS:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out) if captured.out else None
+        if report is not None:
+            assert captured.out == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
+            assert isinstance(report.pop("timing_ms"), float), argv
+        files = {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in written}
+        runs.append({"argv": argv, "code": code, "report": report, "stderr": captured.err, "files": files})
+    return runs
+
+
+def test_every_subcommand_report_matches_golden(tmp_path, monkeypatch, capsys):
+    # tests/data/cli_reports.json holds what pinned_reports returned on the
+    # tree that added it; reports, exit codes, errors and written files must
+    # stay byte-identical
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).parent / "data" / "cli_reports.json"
+    got = json.dumps(pinned_reports(tmp_path, capsys), sort_keys=True, indent=2) + "\n"
+    assert got == golden.read_text()
