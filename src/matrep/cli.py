@@ -4,9 +4,12 @@ Documents are JSON with sorted keys.  A matroid document carries a name, a
 ground set of string labels and exactly one of bases / independents /
 flats, plus an optional rho and an optional immersion, which needs rho;
 a rho alone selects the canonical immersion.  A map document names its
-endpoints and lists the assignment, including "o" -> "o".  Reports echo the
-command and inputs and are byte-identical across runs apart from the
-timing field.
+endpoints and lists the assignment, including "o" -> "o".
+
+Every command's report is one JSON object, {schema, command, inputs,
+results, timing_ms}, which ``main`` alone builds, times and prints; it
+echoes the command and inputs and is byte-identical across runs apart from
+``timing_ms``.  An input error prints one line to stderr and no report.
 
 Exit codes: 0 all checks pass, 2 property violation, 3 input error.
 """
@@ -256,21 +259,11 @@ def _flat_doc(flat) -> list:
     return [format_label(e) for e in sort_labels(flat)]
 
 
-def _report(command: list[str], inputs: dict, results: dict, started: float) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-    }
+# Each command returns its echo, its inputs, its results and its exit code,
+# and prints nothing: main builds, times and prints the report.
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
-def cmd_info(args, started) -> int:
+def cmd_info(args) -> tuple:
     matroid, _ = resolve_matroid(args.matroid)
     lat = matroid.lattice()
     mu = lat.mobius()
@@ -281,11 +274,10 @@ def cmd_info(args, started) -> int:
         "whitney": whitney_first(matroid).as_list(),
         "mobius": [[_flat_doc(f), mu[f]] for f in lat.flats],
     }
-    _emit(_report(["info", args.matroid], {"matroid": args.matroid}, results, started))
-    return 0
+    return ["info", args.matroid], {"matroid": args.matroid}, results, 0
 
 
-def cmd_lattice(args, started) -> int:
+def cmd_lattice(args) -> tuple:
     matroid, _ = resolve_matroid(args.matroid)
     lat = matroid.lattice()
     results = {
@@ -294,18 +286,16 @@ def cmd_lattice(args, started) -> int:
         ],
         "covers": [[_flat_doc(p), _flat_doc(q)] for p, q in lat.covers()],
     }
-    _emit(_report(["lattice", args.matroid], {"matroid": args.matroid}, results, started))
-    return 0
+    return ["lattice", args.matroid], {"matroid": args.matroid}, results, 0
 
 
-def cmd_whitney(args, started) -> int:
+def cmd_whitney(args) -> tuple:
     matroid, _ = resolve_matroid(args.matroid)
     results = {"whitney": whitney_first(matroid).as_list()}
-    _emit(_report(["whitney", args.matroid], {"matroid": args.matroid}, results, started))
-    return 0
+    return ["whitney", args.matroid], {"matroid": args.matroid}, results, 0
 
 
-def cmd_truncate(args, started) -> int:
+def cmd_truncate(args) -> tuple:
     matroid, _ = resolve_matroid(args.matroid)
     truncated = truncate(matroid, args.k)
     doc = matroid_to_doc(truncated, f"T^{args.k}({args.matroid})")
@@ -313,11 +303,10 @@ def cmd_truncate(args, started) -> int:
         if write:
             write(doc)
     results = {"rank": truncated.rank_total, "document": doc}
-    _emit(_report(["truncate", args.matroid, str(args.k)], {"matroid": args.matroid}, results, started))
-    return 0
+    return ["truncate", args.matroid, str(args.k)], {"matroid": args.matroid}, results, 0
 
 
-def cmd_check_map(args, started) -> int:
+def cmd_check_map(args) -> tuple:
     matroids = {entry: resolve_matroid(entry)[0] for entry in args.matroids or []}
     setmap = _read(args.map, lambda doc: map_from_doc(doc, matroids))
     cls = classify_map(setmap)
@@ -327,11 +316,10 @@ def cmd_check_map(args, started) -> int:
         "is_surjective": cls.is_surjective,
         "is_non_annihilating": cls.is_non_annihilating,
     }
-    _emit(_report(["check-map", args.map], {"map": args.map}, results, started))
-    return 0
+    return ["check-map", args.map], {"map": args.map}, results, 0
 
 
-def cmd_represent(args, started) -> int:
+def cmd_represent(args) -> tuple:
     matroid, chosen = resolve_matroid(args.matroid)
     template = resolve_complex(args.template)
     listed = isinstance(chosen, Immersion) and args.rho is None
@@ -360,31 +348,22 @@ def cmd_represent(args, started) -> int:
         "agreement": constructed == expected,
         "face_counts": {str(k): v for k, v in rep.T.face_counts().items()},
     }
-    _emit(
-        _report(
-            ["represent", args.matroid, args.template],
-            {"matroid": args.matroid, "template": args.template, "rho": im.rho},
-            results,
-            started,
-        )
-    )
-    return 0 if results["agreement"] else 2
+    inputs = {"matroid": args.matroid, "template": args.template, "rho": im.rho}
+    return ["represent", args.matroid, args.template], inputs, results, 0 if results["agreement"] else 2
 
 
-def cmd_betti(args, started) -> int:
+def cmd_betti(args) -> tuple:
     komplex = resolve_complex(args.complex)
     results = {"betti": reduced_betti(komplex).to_doc()}
-    _emit(_report(["betti", args.complex], {"complex": args.complex}, results, started))
-    return 0
+    return ["betti", args.complex], {"complex": args.complex}, results, 0
 
 
-def cmd_export(args, started) -> int:
+def cmd_export(args) -> tuple:
     matroid, _ = resolve_matroid(args.matroid)
     doc = matroid_to_doc(matroid, args.matroid)
     with _json_out(args.out) as write:
         write(doc)
-    _emit(_report(["export", args.matroid], {"matroid": args.matroid}, {"written": args.out}, started))
-    return 0
+    return ["export", args.matroid], {"matroid": args.matroid}, {"written": args.out}, 0
 
 
 def _check(name: str, passed: bool, details: dict) -> dict:
@@ -577,7 +556,7 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(args, started) -> int:
+def cmd_verify(args) -> tuple:
     selected = [name for name in VERIFY_SUITES if getattr(args, name)]
     if args.all or not selected:
         selected = list(VERIFY_SUITES)
@@ -585,9 +564,7 @@ def cmd_verify(args, started) -> int:
     for name in selected:
         checks.extend(VERIFY_SUITES[name]())
     passed = all(c["passed"] for c in checks)
-    results = {"checks": checks, "passed": passed}
-    _emit(_report(["verify"] + selected, {}, results, started))
-    return 0 if passed else 2
+    return ["verify"] + selected, {}, {"checks": checks, "passed": passed}, 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,14 +623,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its report, timed from the parsed
+    arguments to the command's return; an input error prints no report and
+    exits 3."""
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        return args.func(args, started)
+        command, inputs, results, code = args.func(args)
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    report = {
+        "schema": REPORT_SCHEMA,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "timing_ms": round(1000 * (time.perf_counter() - started), 3),
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":
