@@ -25,6 +25,7 @@ import time
 
 from . import catalog
 from .complexes import (
+    MAX_SIMPLICES,
     BettiVector,
     SimplicialComplex,
     compose_matrices,
@@ -215,9 +216,18 @@ def complex_from_doc(doc: dict) -> SimplicialComplex:
 
 
 def resolve_complex(name_or_path: str) -> SimplicialComplex:
+    """A template S<d>, or a path to a complex document.  S^d has
+    2^(d+2) - 2 nonempty simplices, and every command that takes a complex
+    lists them, so a sphere over ``MAX_SIMPLICES`` is refused before any
+    facet is listed."""
     match = re.fullmatch(r"S(-?\d+)", name_or_path)
     if match:
-        return sphere(int(match.group(1)))
+        d = int(match.group(1))
+        # past the budget's bit length the count is over it, so the power
+        # is never computed in full
+        if 2 ** min(d + 2, MAX_SIMPLICES.bit_length() + 1) - 2 > MAX_SIMPLICES:
+            raise InputError(f"S{d} has 2^{d + 2} - 2 nonempty simplices, over the budget {MAX_SIMPLICES}")
+        return sphere(d)
     return _read(name_or_path, complex_from_doc)
 
 

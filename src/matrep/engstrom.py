@@ -432,10 +432,10 @@ def verify_strict_decrease(tau, im_m, im_n, x) -> bool:
         raise ValueError("strict decrease needs a rank drop")
     if not tau.is_surjective():
         raise MatroidError("needs a surjective weak map")
-    # is_admissible refuses immersions of different rho and classifies
-    # tau, refusing a map that is not weak
-    if not is_admissible(tau, im_m.immersion, im_n.immersion):
-        raise NotAdmissible("the weak map does not respect the immersions")
+    # refused as the induced map refuses it: immersions of different rho,
+    # a map that is not weak or not admissible, or one with no atom in its
+    # image, when no map of representations exists
+    _admissible_flat_map(tau, im_m.immersion, im_n.immersion)
     betti_m = expected_betti(im_m, x)
     betti_n = expected_betti(im_n, x)
     b = reduced_betti(x)

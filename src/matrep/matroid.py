@@ -293,6 +293,7 @@ def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid: every subset of size at most r is independent."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
+    _require_small(n)
     elements = range(1, n + 1)
     independents = itertools.chain.from_iterable(
         itertools.combinations(elements, k) for k in range(r + 1)

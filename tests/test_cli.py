@@ -104,20 +104,34 @@ def test_immersion_documents_are_checked_entry_by_entry(tmp_path, capsys, entry,
 
 
 @pytest.mark.parametrize(
-    "command, code, size",
+    "command, code, named",
     [
-        (["represent", "U2,3", "S0", "--rho", "100000000"], 3, "3^100000000 - 1"),
-        (["represent", "U2,3", "S0", "--rho", "1000000"], 3, "3^1000000 - 1"),
-        (["represent", "rho.json", "S0"], 3, "3^100000000 - 1"),
-        (["info", "rho.json"], 0, None),
-        (["betti", "facet.json"], 3, "2^20000 - 1"),
+        (["represent", "U2,3", "S0", "--rho", "100000000"], 3, ["3^100000000 - 1", str(MAX_SIMPLICES)]),
+        (["represent", "U2,3", "S0", "--rho", "1000000"], 3, ["3^1000000 - 1", str(MAX_SIMPLICES)]),
+        (["represent", "rho.json", "S0"], 3, ["3^100000000 - 1", str(MAX_SIMPLICES)]),
+        (["info", "rho.json"], 0, []),
+        (["betti", "facet.json"], 3, ["2^20000 - 1", str(MAX_SIMPLICES)]),
+        (["info", "U2,100000000"], 3, ["100000000 elements", f"cap {MAX_ELEMENTS}"]),
+        (["betti", "S20000"], 3, ["2^20002 - 2", str(MAX_SIMPLICES)]),
+        (["represent", "U2,3", "S20000"], 3, ["2^20002 - 2", str(MAX_SIMPLICES)]),
     ],
-    ids=["rho-1e8", "rho-1e6", "document-rho-represent", "document-rho-info", "20000-vertex-facet"],
+    ids=[
+        "rho-1e8",
+        "rho-1e6",
+        "document-rho-represent",
+        "document-rho-info",
+        "20000-vertex-facet",
+        "uniform-on-1e8-elements",
+        "betti-of-S20000",
+        "represent-on-S20000",
+    ],
 )
-def test_oversized_rho_and_facets_fail_cleanly_in_bounded_memory(tmp_path, command, code, size):
+def test_oversized_rho_and_facets_fail_cleanly_in_bounded_memory(tmp_path, command, code, named):
     """Under a 2 GB address-space limit, a rho whose join of copies is over
     the budget is refused before any immersion is built, info never builds
-    one, and counts too long to print are named as powers."""
+    one, a uniform matroid or a sphere over its cap or budget is refused
+    before its ground set or facets are listed, and counts too long to
+    print are named as powers."""
     resource = pytest.importorskip("resource")
     bases = [["1", "2"], ["1", "3"], ["2", "3"]]
     (tmp_path / "rho.json").write_text(json.dumps({"elements": ["1", "2", "3"], "bases": bases, "rho": 100_000_000}))
@@ -136,8 +150,15 @@ def test_oversized_rho_and_facets_fail_cleanly_in_bounded_memory(tmp_path, comma
     )
     assert time.perf_counter() - started < 1
     assert run.returncode == code, run.stderr
-    if size is not None:
-        assert size in run.stderr and str(MAX_SIMPLICES) in run.stderr
+    assert all(name in run.stderr for name in named), run.stderr
+
+
+def test_the_largest_sphere_within_the_budget_resolves():
+    # S19 has 2^21 - 2 nonempty simplices, S20 has 2^22 - 2
+    assert 2**21 - 2 <= MAX_SIMPLICES < 2**22 - 2
+    assert cli.resolve_complex("S19").dim == 19
+    with pytest.raises(cli.InputError, match=rf"S20 has 2\^22 - 2 nonempty simplices, over the budget {MAX_SIMPLICES}"):
+        cli.resolve_complex("S20")
 
 
 def test_the_simplex_budget_admits_the_export_of_u45_s1():

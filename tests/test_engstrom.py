@@ -1089,6 +1089,26 @@ def test_verifiers_classify_tau_once(count_calls, verify):
     assert calls == [tau]
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify_strict_decrease,
+        induced_representation_map,
+        verify_surjectivity,
+        functools.partial(check_equivariance, swap_action_on_s0()),
+    ],
+    ids=["verify_strict_decrease", "induced_representation_map", "verify_surjectivity", "check_equivariance"],
+)
+def test_a_map_onto_a_loop_is_refused_by_every_entry(check):
+    # tau sends one element of U2,2 onto a loop and the other to o: it is a
+    # surjective weak map with a rank drop, but T(N) is empty and no atom
+    # lies in its image, so no map T(M) -> T(N) exists
+    m, n = uniform(2, 2), matroid.Matroid([1], [()])
+    tau = SetMap(m, n, {1: 1, 2: "o"})
+    with pytest.raises(NoAtomInImage):
+        check(tau, immersed(m, rho=2), immersed(n, rho=2), sphere(0))
+
+
 def test_strict_decrease():
     s0 = sphere(0)
     tau = identity_map(uniform(3, 4), uniform(2, 4))
